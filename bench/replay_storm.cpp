@@ -2,20 +2,19 @@
 // availability index and the streaming trace pipeline (BENCH_replay.json in
 // CI).
 //
-// Part 1 - commit path, flat vs bucket, N = RTDLS_REPLAY_NODES (1e5): one
-// precomputed storm of index repositions (70% commits moving entries
-// forward, 30% early releases moving them back - the exact mutation mix the
-// simulator feeds AvailabilityIndex::update) is replayed against both
-// backends and timed. The op list is generated up front from a side array,
-// so the timed loops contain nothing but update() calls; at 1e5 nodes the
-// flat memmove drags ~0.8 MB per commit while the bucket backend shifts two
-// fanout-bounded runs, which is where the required >= 5x comes from.
+// Part 1 - commit path, N = RTDLS_REPLAY_NODES (1e5): one precomputed storm
+// of index repositions (70% commits moving entries forward, 30% early
+// releases moving them back - the exact mutation mix the simulator feeds
+// AvailabilityIndex::update) is replayed and timed. The op list is generated
+// up front from a side array, so the timed loop contains nothing but
+// update() calls; each one shifts at most two fanout-bounded bucket runs,
+// which CI gates as an absolute ns/update ceiling.
 //
 // Part 2 - streamed replay, RTDLS_REPLAY_TASKS (1e6) tasks: a trace CSV is
 // *written row by row* to a temp file (never materialized - generation must
 // not pollute the process's lifetime-max RSS) and then replayed through the
 // full bounded-memory pipeline: TraceReader -> StreamingTaskSource ->
-// ClusterSimulator::run_stream on the bucket backend. Reported: tasks/sec,
+// ClusterSimulator::run_stream. Reported: tasks/sec,
 // the source's peak resident task count, and getrusage peak RSS - the
 // number CI gates to pin the O(chunk) memory claim (a materialized
 // million-task load would hold ~90 MB of tasks + CSV text; the streamed
@@ -23,7 +22,7 @@
 //
 //   replay_storm [out.json]
 //   RTDLS_REPLAY_NODES=100000   index size for the commit-path storm
-//   RTDLS_REPLAY_UPDATES=20000  repositions per backend
+//   RTDLS_REPLAY_UPDATES=20000  timed repositions
 //   RTDLS_REPLAY_TASKS=1000000  streamed trace length
 //   RTDLS_REPLAY_SIM_NODES=512  cluster size for the streamed replay
 //   RTDLS_REPLAY_CHUNK=65536    TraceReader chunk size
@@ -75,7 +74,7 @@ struct UpdateOp {
   Time to = 0.0;
 };
 
-/// Precomputes the storm from a side array so the timed loops below are pure
+/// Precomputes the storm from a side array so the timed loop below is pure
 /// update() calls. Forward moves land uniformly across the live window
 /// (typical commit: free-now -> released-late); backward moves model early
 /// releases. Times sit on a coarse grid so duplicate keys (the id tie-break
@@ -157,26 +156,20 @@ int main(int argc, char** argv) {
               updates);
   const std::vector<UpdateOp> ops = make_storm(index_nodes, updates);
 
-  AvailabilityIndex flat;
-  flat.reset(index_nodes, cluster::IndexBackend::kFlat);
-  const double flat_ns = time_storm(flat, ops);
+  AvailabilityIndex index;
+  index.reset(index_nodes);
+  const double ns_per_update = time_storm(index, ops);
 
-  AvailabilityIndex bucket;
-  bucket.reset(index_nodes, cluster::IndexBackend::kBucket);
-  const double bucket_ns = time_storm(bucket, ops);
-
-  // Same final state either way (cheap good-faith check, outside the timing).
+  // Cheap good-faith check of the final state, outside the timing.
   {
     std::vector<Time> free_times(index_nodes, 0.0);
     for (const UpdateOp& op : ops) free_times[op.node] = op.to;
-    if (!flat.consistent_with(free_times) || !bucket.consistent_with(free_times)) {
-      std::fprintf(stderr, "replay_storm: backends diverged after the storm\n");
+    if (!index.consistent_with(free_times)) {
+      std::fprintf(stderr, "replay_storm: index diverged after the storm\n");
       return 1;
     }
   }
-  const double speedup = flat_ns / bucket_ns;
-  std::printf("commit path: flat %.0f ns/update, bucket %.0f ns/update, %.1fx\n", flat_ns,
-              bucket_ns, speedup);
+  std::printf("commit path: %.0f ns/update\n", ns_per_update);
 
   // --- streamed replay ------------------------------------------------------
   const std::string trace_path =
@@ -189,7 +182,6 @@ int main(int argc, char** argv) {
   config.params.node_count = sim_nodes;
   config.params.cms = 1.0;
   config.params.cps = 100.0;
-  config.params.index_backend = cluster::IndexBackend::kBucket;
 
   workload::TraceReader reader(trace_path, {.chunk_tasks = chunk_tasks});
   sim::StreamingTaskSource source(reader);
@@ -222,9 +214,7 @@ int main(int argc, char** argv) {
       << "  \"commit_path\": {\n"
       << "    \"index_nodes\": " << index_nodes << ",\n"
       << "    \"updates\": " << updates << ",\n"
-      << "    \"flat_ns_per_update\": " << flat_ns << ",\n"
-      << "    \"bucket_ns_per_update\": " << bucket_ns << ",\n"
-      << "    \"speedup_x\": " << speedup << "\n"
+      << "    \"ns_per_update\": " << ns_per_update << "\n"
       << "  },\n"
       << "  \"streamed_replay\": {\n"
       << "    \"tasks\": " << replay_tasks << ",\n"

@@ -5,67 +5,14 @@
 #include <stdexcept>
 #include <type_traits>
 
-#include "util/env.hpp"
-#include "util/strings.hpp"
-
 namespace rtdls::cluster {
-
-IndexBackend resolve_index_backend(IndexBackend choice, std::size_t node_count) {
-  if (choice != IndexBackend::kAuto) return choice;
-  if (const auto env = util::get_env("RTDLS_INDEX")) {
-    const std::string value = util::to_lower(*env);
-    if (value == "flat") return IndexBackend::kFlat;
-    if (value == "bucket") return IndexBackend::kBucket;
-    if (value != "auto") {
-      throw std::invalid_argument("RTDLS_INDEX: expected flat|bucket|auto, got '" + *env +
-                                  "'");
-    }
-  }
-  // Crossover heuristic: one flat memmove touches ~16 bytes/entry, so below
-  // a few thousand nodes it stays cheaper than the bucket directory's extra
-  // indirection; the replay benches put the crossover near 2-8k.
-  constexpr std::size_t kBucketThreshold = 4096;
-  return node_count >= kBucketThreshold ? IndexBackend::kBucket : IndexBackend::kFlat;
-}
-
-const char* index_backend_name(IndexBackend backend) {
-  switch (backend) {
-    case IndexBackend::kFlat:
-      return "flat";
-    case IndexBackend::kBucket:
-      return "bucket";
-    case IndexBackend::kAuto:
-      break;
-  }
-  return "auto";
-}
 
 static_assert(std::is_trivially_copyable_v<AvailabilityIndex::Entry>,
               "update() repositions entries with memmove");
 
-void AvailabilityIndex::reset(std::size_t nodes) { reset(nodes, backend_); }
-
-void AvailabilityIndex::reset(std::size_t nodes, IndexBackend backend) {
-  if (backend == IndexBackend::kAuto) {
-    throw std::invalid_argument(
-        "AvailabilityIndex::reset: pass a resolved backend (resolve_index_backend)");
-  }
-  backend_ = backend;
+void AvailabilityIndex::reset(std::size_t nodes) {
   size_ = nodes;
   prefix_valid_ = false;
-  if (backend_ == IndexBackend::kFlat) {
-    entries_.resize(nodes);
-    for (std::size_t i = 0; i < nodes; ++i) {
-      entries_[i] = Entry{0.0, static_cast<NodeId>(i)};
-    }
-    // Release the bucket structures' element storage only lazily (clear
-    // keeps capacity): a backend flip on the same index is a test-only move.
-    order_.clear();
-    mins_.clear();
-    free_slots_.clear();
-    return;
-  }
-  entries_.clear();
   order_.clear();
   mins_.clear();
   free_slots_.clear();
@@ -88,39 +35,6 @@ void AvailabilityIndex::reset(std::size_t nodes, IndexBackend backend) {
   }
 }
 
-std::size_t AvailabilityIndex::update(NodeId node, Time from, Time to) {
-  if (backend_ == IndexBackend::kFlat) return update_flat(node, from, to);
-  return update_bucket(node, from, to);
-}
-
-std::size_t AvailabilityIndex::update_flat(NodeId node, Time from, Time to) {
-  const auto it = std::lower_bound(entries_.begin(), entries_.end(), Entry{from, node}, less);
-  if (it == entries_.end() || it->node != node || it->free_at != from) {
-    throw std::logic_error("AvailabilityIndex::update: entry not found (index desync)");
-  }
-  // Reposition with a raw shift: a commit typically moves one entry across
-  // a large slice of the array (free-now -> released-last), and memmove on
-  // the trivially-copyable entries is several times faster there than
-  // std::rotate's element cycle.
-  const Entry moved{to, node};
-  if (to > from) {
-    const auto dest = std::lower_bound(it + 1, entries_.end(), moved, less);
-    const std::size_t depth = static_cast<std::size_t>(dest - it - 1);
-    std::memmove(&*it, &*it + 1, depth * sizeof(Entry));
-    *(dest - 1) = moved;
-    return depth;
-  }
-  if (to < from) {
-    const auto dest = std::lower_bound(entries_.begin(), it, moved, less);
-    const std::size_t depth = static_cast<std::size_t>(it - dest);
-    std::memmove(&*dest + 1, &*dest, depth * sizeof(Entry));
-    *dest = moved;
-    return depth;
-  }
-  it->free_at = to;
-  return 0;
-}
-
 std::size_t AvailabilityIndex::locate_bucket(const Entry& key) const {
   // First bucket whose min is > key, minus one: the only bucket that can
   // contain key, since bucket boundaries preserve the global order.
@@ -129,7 +43,7 @@ std::size_t AvailabilityIndex::locate_bucket(const Entry& key) const {
   return static_cast<std::size_t>(it - mins_.begin()) - 1;
 }
 
-std::size_t AvailabilityIndex::update_bucket(NodeId node, Time from, Time to) {
+std::size_t AvailabilityIndex::update(NodeId node, Time from, Time to) {
   const Entry key{from, node};
   const std::size_t bi = locate_bucket(key);
   if (bi == kNpos) {
@@ -266,12 +180,6 @@ void AvailabilityIndex::ensure_prefix() const {
 }
 
 std::size_t AvailabilityIndex::available_by(Time t) const {
-  if (backend_ == IndexBackend::kFlat) {
-    const auto it = std::upper_bound(
-        entries_.begin(), entries_.end(), t,
-        [](Time value, const Entry& entry) { return value < entry.free_at; });
-    return static_cast<std::size_t>(it - entries_.begin());
-  }
   // Last bucket whose min free_at is <= t: everything before it is <= t in
   // (free_at, node) order, everything after it starts past t.
   const auto it = std::upper_bound(
@@ -291,7 +199,6 @@ Time AvailabilityIndex::kth_free_time(std::size_t k) const {
   if (k >= size_) {
     throw std::invalid_argument("AvailabilityIndex::kth_free_time: k out of range");
   }
-  if (backend_ == IndexBackend::kFlat) return entries_[k].free_at;
   ensure_prefix();
   // Bucket containing rank k: last prefix <= k.
   const auto it = std::upper_bound(prefix_.begin(), prefix_.end(), k);
@@ -303,10 +210,6 @@ void AvailabilityIndex::availability_into(Time now, std::vector<Time>& out) cons
   const std::size_t floored = available_by(now);
   out.resize(size_);
   std::fill(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(floored), now);
-  if (backend_ == IndexBackend::kFlat) {
-    for (std::size_t i = floored; i < entries_.size(); ++i) out[i] = entries_[i].free_at;
-    return;
-  }
   // Start at the bucket containing the first unfloored rank; the floored
   // prefix was already filled without touching its entries.
   ensure_prefix();
@@ -327,18 +230,12 @@ void AvailabilityIndex::availability_with_ids_into(Time now, std::vector<Time>& 
   times.resize(size_);
   ids.resize(size_);
   std::fill(times.begin(), times.begin() + static_cast<std::ptrdiff_t>(floored), now);
-  if (backend_ == IndexBackend::kFlat) {
-    for (std::size_t i = 0; i < entries_.size(); ++i) ids[i] = entries_[i].node;
-    for (std::size_t i = floored; i < entries_.size(); ++i) times[i] = entries_[i].free_at;
-  } else {
-    std::size_t i = 0;
-    for (std::size_t b = 0; b < order_.size(); ++b) {
-      const std::vector<Entry>& bucket = slots_[order_[b]];
-      for (const Entry& entry : bucket) {
-        ids[i] = entry.node;
-        if (i >= floored) times[i] = entry.free_at;
-        ++i;
-      }
+  std::size_t i = 0;
+  for (std::size_t b = 0; b < order_.size(); ++b) {
+    for (const Entry& entry : slots_[order_[b]]) {
+      ids[i] = entry.node;
+      if (i >= floored) times[i] = entry.free_at;
+      ++i;
     }
   }
   // The floored prefix all ties at `now`; sorting its ids yields the strict
@@ -354,15 +251,11 @@ void AvailabilityIndex::earliest_free_nodes_into(Time now, std::size_t n,
   const std::size_t floored = available_by(now);
   const std::size_t take = std::min(n, floored);
   out.resize(floored);
-  if (backend_ == IndexBackend::kFlat) {
-    for (std::size_t i = 0; i < floored; ++i) out[i] = entries_[i].node;
-  } else {
-    std::size_t i = 0;
-    for (std::size_t b = 0; b < order_.size() && i < floored; ++b) {
-      const std::vector<Entry>& bucket = slots_[order_[b]];
-      for (std::size_t j = 0; j < bucket.size() && i < floored; ++j) {
-        out[i++] = bucket[j].node;
-      }
+  std::size_t i = 0;
+  for (std::size_t b = 0; b < order_.size() && i < floored; ++b) {
+    const std::vector<Entry>& bucket = slots_[order_[b]];
+    for (std::size_t j = 0; j < bucket.size() && i < floored; ++j) {
+      out[i++] = bucket[j].node;
     }
   }
   // All floored nodes tie at `now`, so only their n smallest ids are needed.
@@ -372,15 +265,11 @@ void AvailabilityIndex::earliest_free_nodes_into(Time now, std::size_t n,
   std::sort(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(take));
   out.resize(take);
   // Past the floor the index order (free_at, then id) is the answer order.
-  if (backend_ == IndexBackend::kFlat) {
-    for (std::size_t i = floored; out.size() < n; ++i) out.push_back(entries_[i].node);
-    return;
-  }
   if (out.size() >= n) return;
   ensure_prefix();
   const auto it = std::upper_bound(prefix_.begin(), prefix_.end(), floored);
   std::size_t b = static_cast<std::size_t>(it - prefix_.begin()) - 1;
-  std::size_t i = floored;
+  i = floored;
   for (; b < order_.size() && out.size() < n; ++b) {
     const std::vector<Entry>& bucket = slots_[order_[b]];
     for (std::size_t j = i - prefix_[b]; j < bucket.size() && out.size() < n; ++j) {
@@ -402,14 +291,7 @@ bool AvailabilityIndex::consistent_with(const std::vector<Time>& free_times) con
     prev = &entry;
     return true;
   };
-  if (backend_ == IndexBackend::kFlat) {
-    if (entries_.size() != size_) return false;
-    for (const Entry& entry : entries_) {
-      if (!check_entry(entry)) return false;
-    }
-    return true;
-  }
-  // Bucket invariants on top of the shared order/coverage checks.
+  // Bucket invariants on top of the order/coverage checks.
   std::size_t total = 0;
   std::vector<bool> slot_used(slots_.size(), false);
   for (std::size_t b = 0; b < order_.size(); ++b) {

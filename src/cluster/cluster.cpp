@@ -9,9 +9,9 @@ namespace rtdls::cluster {
 
 namespace {
 
-/// Reposition-depth distribution across every index mutation: the direct
-/// observable of the flat backend's O(N) memmove wall (p99 grows with N)
-/// versus the bucket backend's bounded bucket-local shifts. Recorded here -
+/// Reposition-depth distribution across every index mutation: how many
+/// entries each update's bucket-local shifts moved (bounded by the bucket
+/// fanout, so the p99 stays flat as N grows). Recorded here -
 /// not inside the RTDLS_HOT AvailabilityIndex::update - because histogram
 /// writes may grow a thread shard on first contact.
 obs::Histogram& commit_depth_histogram() {
@@ -28,8 +28,7 @@ Cluster::Cluster(ClusterParams params) : params_(std::move(params)) {
   for (std::size_t i = 0; i < params_.node_count; ++i) {
     nodes_.emplace_back(static_cast<NodeId>(i));
   }
-  index_.reset(params_.node_count,
-               resolve_index_backend(params_.index_backend, params_.node_count));
+  index_.reset(params_.node_count);
 }
 
 void Cluster::reset() {

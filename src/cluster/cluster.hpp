@@ -94,10 +94,6 @@ class Cluster {
   /// index-consistency tests.
   const AvailabilityIndex& index() const { return index_; }
 
-  /// The index storage backend this cluster resolved at construction
-  /// (params().index_backend with kAuto resolved; see resolve_index_backend).
-  IndexBackend index_backend() const { return index_.backend(); }
-
   /// Debug/tests: true iff the index invariants hold against every node's
   /// authoritative free_at().
   bool index_consistent() const;

@@ -11,7 +11,7 @@
 // than an upper bound.
 //
 // This is an EXTENSION beyond the paper's evaluated algorithms; see
-// bench/ablation_multiround for its measured effect.
+// `rtdls_cli figure --id ablation_multiround` for its measured effect.
 #pragma once
 
 #include <cstddef>

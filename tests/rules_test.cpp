@@ -260,6 +260,10 @@ struct RuleCase {
   std::unique_ptr<PartitionRule> (*factory)();
 };
 
+// Without this gtest names each case by the raw bytes of its pointers, so the
+// listed test names would change with ASLR and with the binary's layout.
+void PrintTo(const RuleCase& rule_case, std::ostream* os) { *os << rule_case.label; }
+
 std::unique_ptr<PartitionRule> make_dlt_default() { return make_dlt_iit_rule(); }
 std::unique_ptr<PartitionRule> make_opr_default() { return make_opr_mn_rule(); }
 std::unique_ptr<PartitionRule> make_mr2() { return make_multiround_rule(2); }

@@ -191,56 +191,51 @@ TEST(TraceReader, BlankLinesAndCrlfTolerated) {
 TEST(StreamingReplay, RunStreamMatchesRunBitForBit) {
   // The full pipeline - save_trace CSV -> TraceReader (tiny chunks) ->
   // StreamingTaskSource -> run_stream - must produce the same metrics and
-  // the same committed reservations as run() over the materialized trace,
-  // for both backends.
+  // the same committed reservations as run() over the materialized trace.
   const auto tasks = generated_tasks(13, 32, 1.0, 40000.0);
   ASSERT_GT(tasks.size(), 100u);
   const std::string csv = trace_csv(tasks);
 
-  for (const cluster::IndexBackend backend :
-       {cluster::IndexBackend::kFlat, cluster::IndexBackend::kBucket}) {
-    for (const char* algorithm : {"EDF-DLT", "FIFO-MR2"}) {
-      sim::SimulatorConfig config;
-      config.params = {.node_count = 32, .cms = 1.0, .cps = 100.0};
-      config.params.index_backend = backend;
-      config.incremental_admission = true;
+  for (const char* algorithm : {"EDF-DLT", "FIFO-MR2"}) {
+    sim::SimulatorConfig config;
+    config.params = {.node_count = 32, .cms = 1.0, .cps = 100.0};
+    config.incremental_admission = true;
 
-      sim::ScheduleLog vector_log;
-      config.schedule_log = &vector_log;
-      const sim::SimMetrics expected = sim::simulate(config, algorithm, tasks, 40000.0);
+    sim::ScheduleLog vector_log;
+    config.schedule_log = &vector_log;
+    const sim::SimMetrics expected = sim::simulate(config, algorithm, tasks, 40000.0);
 
-      std::istringstream in(csv);
-      workload::TraceReader reader(in, {.chunk_tasks = 16});
-      sim::StreamingTaskSource source(reader);
-      sim::ScheduleLog stream_log;
-      config.schedule_log = &stream_log;
-      const sched::Algorithm algo = sched::make_algorithm(algorithm);
-      sim::ClusterSimulator simulator(config, algo);
-      const sim::SimMetrics streamed = simulator.run_stream(source, 40000.0);
+    std::istringstream in(csv);
+    workload::TraceReader reader(in, {.chunk_tasks = 16});
+    sim::StreamingTaskSource source(reader);
+    sim::ScheduleLog stream_log;
+    config.schedule_log = &stream_log;
+    const sched::Algorithm algo = sched::make_algorithm(algorithm);
+    sim::ClusterSimulator simulator(config, algo);
+    const sim::SimMetrics streamed = simulator.run_stream(source, 40000.0);
 
-      ASSERT_EQ(streamed.accepted, expected.accepted) << algorithm;
-      ASSERT_EQ(streamed.rejected, expected.rejected) << algorithm;
-      ASSERT_EQ(streamed.deadline_misses, expected.deadline_misses) << algorithm;
-      EXPECT_EQ(streamed.response_time.mean(), expected.response_time.mean()) << algorithm;
-      EXPECT_EQ(streamed.busy_time, expected.busy_time) << algorithm;
-      EXPECT_EQ(streamed.idle_gap_time, expected.idle_gap_time) << algorithm;
-      ASSERT_EQ(stream_log.size(), vector_log.size()) << algorithm;
-      for (std::size_t i = 0; i < stream_log.size(); ++i) {
-        const sim::ScheduleEntry& a = stream_log.entries()[i];
-        const sim::ScheduleEntry& b = vector_log.entries()[i];
-        ASSERT_EQ(a.task, b.task) << algorithm << " entry " << i;
-        ASSERT_EQ(a.node, b.node) << algorithm << " entry " << i;
-        ASSERT_EQ(a.start, b.start) << algorithm << " entry " << i;
-        ASSERT_EQ(a.end, b.end) << algorithm << " entry " << i;
-        ASSERT_EQ(a.alpha, b.alpha) << algorithm << " entry " << i;
-      }
-
-      // Bounded-memory claim: with 16-task chunks the source never held
-      // anything close to the whole trace resident.
-      EXPECT_LT(source.peak_resident_tasks(), tasks.size() / 2)
-          << algorithm << ": chunks did not retire";
-      EXPECT_GE(source.peak_resident_tasks(), 16u);
+    ASSERT_EQ(streamed.accepted, expected.accepted) << algorithm;
+    ASSERT_EQ(streamed.rejected, expected.rejected) << algorithm;
+    ASSERT_EQ(streamed.deadline_misses, expected.deadline_misses) << algorithm;
+    EXPECT_EQ(streamed.response_time.mean(), expected.response_time.mean()) << algorithm;
+    EXPECT_EQ(streamed.busy_time, expected.busy_time) << algorithm;
+    EXPECT_EQ(streamed.idle_gap_time, expected.idle_gap_time) << algorithm;
+    ASSERT_EQ(stream_log.size(), vector_log.size()) << algorithm;
+    for (std::size_t i = 0; i < stream_log.size(); ++i) {
+      const sim::ScheduleEntry& a = stream_log.entries()[i];
+      const sim::ScheduleEntry& b = vector_log.entries()[i];
+      ASSERT_EQ(a.task, b.task) << algorithm << " entry " << i;
+      ASSERT_EQ(a.node, b.node) << algorithm << " entry " << i;
+      ASSERT_EQ(a.start, b.start) << algorithm << " entry " << i;
+      ASSERT_EQ(a.end, b.end) << algorithm << " entry " << i;
+      ASSERT_EQ(a.alpha, b.alpha) << algorithm << " entry " << i;
     }
+
+    // Bounded-memory claim: with 16-task chunks the source never held
+    // anything close to the whole trace resident.
+    EXPECT_LT(source.peak_resident_tasks(), tasks.size() / 2)
+        << algorithm << ": chunks did not retire";
+    EXPECT_GE(source.peak_resident_tasks(), 16u);
   }
 }
 
