@@ -22,8 +22,6 @@ struct AdmissionObs {
       obs::Registry::global().counter("rtdls_admission_delta_replays_total");
   obs::Counter checkpoints =
       obs::Registry::global().counter("rtdls_admission_checkpoints_total");
-  obs::Counter opportunistic_checkpoints = obs::Registry::global().counter(
-      "rtdls_admission_opportunistic_checkpoints_total");
   /// Re-planned suffix length (temp-list entries from the insertion point)
   /// per accepted incremental admission.
   obs::Histogram replan_suffix = obs::Registry::global().histogram(
@@ -133,6 +131,29 @@ AdmissionOutcome AdmissionController::test(
   return outcome;
 }
 
+AdmissionOutcome AdmissionController::admit(
+    const workload::Task& task, const std::vector<const workload::Task*>& waiting,
+    const cluster::ClusterParams& params, const cluster::Cluster& cluster,
+    const cluster::NodeCalendar* calendar, Time now, bool incremental) {
+  if (calendar != nullptr) {
+    // Calendar mode: "release time" = end of the node's last committed
+    // reservation (the BF rule itself plans against the gaps).
+    free_scratch_.clear();
+    for (cluster::NodeId id = 0; id < calendar->size(); ++id) {
+      const auto& busy = calendar->busy(id);
+      free_scratch_.push_back(std::max(now, busy.empty() ? now : busy.back().end));
+    }
+    return test(&task, waiting, params, free_scratch_, now, calendar);
+  }
+  if (incremental) return test_incremental(task, waiting, params, cluster, now);
+  if (params.heterogeneous()) {
+    cluster.availability_with_ids_into(now, free_scratch_, free_ids_scratch_);
+    return test(&task, waiting, params, free_scratch_, now, nullptr, free_ids_scratch_);
+  }
+  cluster.availability_into(now, free_scratch_);
+  return test(&task, waiting, params, free_scratch_, now);
+}
+
 void AdmissionController::invalidate() {
   cache_valid_ = false;
   head_ = 0;
@@ -146,7 +167,6 @@ void AdmissionController::invalidate() {
   fronts_.clear();
   for (Checkpoint& cp : checkpoints_) retire_checkpoint(std::move(cp));
   checkpoints_.clear();
-  cursor_valid_ = false;
   top_times_.clear();
   het_session_ = false;
   top_ids_.clear();
@@ -164,10 +184,6 @@ AdmissionController::SessionMemory AdmissionController::session_memory() const {
     bytes += cp.times.size() * sizeof(Time) + cp.ids.size() * sizeof(cluster::NodeId);
   }
   bytes += top_times_.size() * sizeof(Time) + top_ids_.size() * sizeof(cluster::NodeId);
-  if (cursor_valid_) {
-    bytes += cursor_times_.size() * sizeof(Time) +
-             cursor_ids_.size() * sizeof(cluster::NodeId);
-  }
   bytes += fronts_.size() * sizeof(Time);
   mem.bytes = bytes;
   // The historical representation held one dense row per planned position
@@ -238,13 +254,6 @@ void AdmissionController::compact_head() {
   }
   checkpoints_.erase(checkpoints_.begin(), keep);
   for (Checkpoint& cp : checkpoints_) cp.pos -= cut;
-  if (cursor_valid_) {
-    if (cursor_pos_ < cut) {
-      cursor_valid_ = false;
-    } else {
-      cursor_pos_ -= cut;
-    }
-  }
   head_ -= cut;
 }
 
@@ -260,20 +269,10 @@ void AdmissionController::materialize_row(std::size_t pos) {
       checkpoints_.begin(), checkpoints_.end(), pos,
       [](std::size_t p, const Checkpoint& cp) { return p < cp.pos; });
   const Checkpoint& base = *(after - 1);  // exists: position 0 is always kept
-  // Start from whichever dense row is closest below `pos`: the nearest
-  // checkpoint, or the cursor (the row the previous arrival rebuilt).
-  std::size_t from = base.pos;
-  if (cursor_valid_ && cursor_pos_ <= pos && cursor_pos_ > from) {
-    from = cursor_pos_;
-    work_state_ = cursor_times_;
-    if (het_session_) work_ids_ = cursor_ids_;
-  } else {
-    work_state_ = base.times;
-    if (het_session_) work_ids_ = base.ids;
-  }
-  const std::size_t chain = pos - base.pos;
-  admission_obs().delta_replays.add(pos - from);
-  for (std::size_t r = from; r < pos; ++r) {
+  work_state_ = base.times;
+  if (het_session_) work_ids_ = base.ids;
+  admission_obs().delta_replays.add(pos - base.pos);
+  for (std::size_t r = base.pos; r < pos; ++r) {
     const std::size_t begin = delta_start(r);
     const std::size_t k = delta_end_[r] - begin;
     if (het_session_) {
@@ -282,28 +281,6 @@ void AdmissionController::materialize_row(std::size_t pos) {
     } else {
       cluster::apply_delta(work_state_, delta_times_.data() + begin, k);
     }
-  }
-  // A long replay marks a hot insertion point (policies tend to insert
-  // arrivals into the same deadline neighborhood); checkpoint the rebuilt
-  // row so the next arrival landing here replays nothing. The budget keeps
-  // the dense-row count at the sqrt(N)-cadence O(rows / sqrt(N)) bound even
-  // when insertion points wander (otherwise opportunistic rows would erode
-  // the memory win the sparse session exists for).
-  const std::size_t budget = (head_ + planned_) / checkpoint_every_ + 3;
-  if (chain > checkpoint_every_ / 2 && checkpoints_.size() < budget) {
-    admission_obs().opportunistic_checkpoints.inc();
-    Checkpoint cp = take_checkpoint(pos);
-    cp.times = work_state_;
-    if (het_session_) cp.ids = work_ids_;
-    checkpoints_.insert(after, std::move(cp));
-  }
-  if (pos != from) {
-    // Remember the rebuilt row; the next nearby insertion replays only the
-    // gap between the two positions.
-    cursor_valid_ = true;
-    cursor_pos_ = pos;
-    cursor_times_ = work_state_;
-    if (het_session_) cursor_ids_ = work_ids_;
   }
 }
 
@@ -547,9 +524,6 @@ AdmissionOutcome AdmissionController::test_incremental(
     retire_checkpoint(std::move(checkpoints_.back()));
     checkpoints_.pop_back();
   }
-  // The cursor row at the insertion point survives (row head_ + p depends
-  // only on the plans before it); anything above described replaced rows.
-  if (cursor_valid_ && cursor_pos_ > head_ + p) cursor_valid_ = false;
   for (Checkpoint& cp : scratch_checkpoints_) checkpoints_.push_back(std::move(cp));
   scratch_checkpoints_.clear();  // moved-from shells
   std::swap(top_times_, work_state_);
@@ -592,6 +566,32 @@ void AdmissionController::verify_against_full(
   for (std::size_t i = 0; i < live; ++i) {
     if (reference.schedule[i].task != order_[head_ + i]) fail("task order");
     if (!(reference.schedule[i].plan == plans_[head_ + i])) fail("plan equality");
+  }
+}
+
+void commit_plan(const workload::Task& task, const TaskPlan& plan, Time at,
+                 cluster::Cluster& cluster, cluster::NodeCalendar* calendar,
+                 std::vector<cluster::NodeId>& ids) {
+  if (calendar != nullptr) {
+    // Calendar-based plan: reserve the exact intervals it chose (possibly
+    // backfilled into gaps in front of existing reservations).
+    ids = plan.node_ids;
+    for (std::size_t i = 0; i < plan.nodes; ++i) {
+      calendar->reserve(ids[i], plan.reserve_from[i], plan.node_release[i]);
+    }
+    return;
+  }
+  if (!plan.node_ids.empty()) {
+    // Heterogeneous plan: the partition was computed for exactly these
+    // nodes' speeds, so commit them directly.
+    ids = plan.node_ids;
+  } else {
+    // Map the plan's sorted slots onto the n earliest-free concrete nodes.
+    cluster.earliest_free_nodes_into(at, plan.nodes, ids);
+  }
+  for (std::size_t i = 0; i < plan.nodes; ++i) {
+    cluster.commit(ids[i], task.id, plan.available[i], plan.reserve_from[i],
+                   plan.node_release[i]);
   }
 }
 

@@ -23,8 +23,7 @@
 // entries, so the session stores one sparse cluster::AvailabilityDelta per
 // planned task (O(k) bytes) instead of the dense N-wide row per task it used
 // to copy (O(Q*N) bytes per arrival burst). Dense rows survive only as
-//  * checkpoints every ~sqrt(N) planned positions (plus opportunistic ones
-//    where suffix re-plans actually land), and
+//  * checkpoints every ~sqrt(N) planned positions, and
 //  * the materialized frontier row after the last planned task (the common
 //    append-at-the-end planning start).
 // A suffix re-plan starting mid-queue rebuilds its dense starting row by
@@ -35,6 +34,10 @@
 // (head offset); rejected/replaced suffixes roll back by truncating the
 // delta stack. Peak memory per burst drops from O(Q*N) to
 // O(Q*k + sqrt(N)*N), measured by session_memory()/peak_session_memory().
+//
+// Both drivers (sim::ClusterSimulator and svc::AdmissionShard) go through
+// the same two entries: admit() picks the test a rule gets, and
+// commit_plan() puts an accepted plan onto concrete nodes.
 #pragma once
 
 #include <cstdint>
@@ -120,6 +123,18 @@ class AdmissionController {
                                     const cluster::ClusterParams& params,
                                     const cluster::Cluster& cluster, Time now);
 
+  /// The driver entry: runs the Figure-2 test for `task` the way its rule
+  /// needs it. A non-null `calendar` (calendar rules) plans via test()
+  /// against each node's max(now, end of its last reservation); otherwise
+  /// `incremental` selects test_incremental(), and its absence test() over
+  /// the cluster's floored availability (with owner ids when het).
+  AdmissionOutcome admit(const workload::Task& task,
+                         const std::vector<const workload::Task*>& waiting,
+                         const cluster::ClusterParams& params,
+                         const cluster::Cluster& cluster,
+                         const cluster::NodeCalendar* calendar, Time now,
+                         bool incremental);
+
   /// Informs the incremental session that `task` left the waiting queue by
   /// committing `plan`, with `cluster_version` the availability version
   /// right after its reservations were applied. A policy-order-front commit
@@ -183,10 +198,12 @@ class AdmissionController {
   // nothing per planned task; see cluster::apply_delta's span form);
   // fronts_[r] is row r's first (minimum) entry, the O(1) "did `now`
   // overtake the snapshot" reuse check; rows exist for live 0..planned_.
-  // Dense rows are materialized only in checkpoints_ (ascending positions,
-  // always one at or before head_; storage recycled through
-  // checkpoint_pool_) and top_times_/top_ids_, the row at position
-  // head_ + planned_. synced_prefix_ counts the leading live entries whose
+  // Dense rows are materialized only in checkpoints_ (ascending positions
+  // on the ~sqrt(N) cadence, always one at or before head_; storage
+  // recycled through checkpoint_pool_, so a rebuild's fresh position-0 row
+  // allocates nothing) and top_times_/top_ids_, the row at position
+  // head_ + planned_. Any other row is rebuilt on demand by
+  // materialize_row. synced_prefix_ counts the leading live entries whose
   // plans the caller is known to hold verbatim.
   struct Checkpoint {
     std::size_t pos = 0;
@@ -200,11 +217,9 @@ class AdmissionController {
   Checkpoint take_checkpoint(std::size_t pos);
   void retire_checkpoint(Checkpoint&& checkpoint);
   void compact_head();
-  /// Copies row `pos` (absolute) into work_state_/work_ids_: nearest
-  /// checkpoint at or before `pos`, then the delta chain up to `pos`. When
-  /// the replayed chain is long, the rebuilt row is inserted as an
-  /// opportunistic checkpoint (repeated suffix re-plans around the same
-  /// insertion point then replay nothing).
+  /// Copies row `pos` (absolute) into work_state_/work_ids_: the frontier
+  /// row, else the nearest checkpoint at or before `pos` plus the delta
+  /// chain up to `pos`.
   void materialize_row(std::size_t pos);
   void note_session_peak();
 
@@ -223,22 +238,14 @@ class AdmissionController {
   std::vector<Time> fronts_;
   std::vector<Checkpoint> checkpoints_;
   std::vector<Checkpoint> checkpoint_pool_;    ///< retired rows, capacity kept
-  /// Cursor cache: the row most recently rebuilt by materialize_row, kept
-  /// dense. Policies insert consecutive arrivals into nearby queue
-  /// positions (EDF deadlines trend upward with arrival time), so the next
-  /// materialization usually replays the few deltas past the cursor rather
-  /// than a whole checkpoint chain. Invalidation: an adoption that replaces
-  /// rows at or below the cursor, session rebuilds, and compaction past it.
-  bool cursor_valid_ = false;
-  std::size_t cursor_pos_ = 0;
-  std::vector<Time> cursor_times_;
-  std::vector<cluster::NodeId> cursor_ids_;
   std::vector<Time> top_times_;
   bool het_session_ = false;
   std::vector<cluster::NodeId> top_ids_;
   SessionMemory peak_;
 
   // Scratch reused across calls (no per-arrival allocation steady-state).
+  std::vector<Time> free_scratch_;              ///< admit(): test()'s input row
+  std::vector<cluster::NodeId> free_ids_scratch_;
   std::vector<Time> work_state_;
   std::vector<cluster::NodeId> work_ids_;
   std::vector<TaskPlan> scratch_plans_;
@@ -262,5 +269,14 @@ class AdmissionController {
   /// Het apply's (release, id) pair buffer, same mutability rationale.
   mutable std::vector<std::pair<Time, cluster::NodeId>> het_merge_scratch_;
 };
+
+/// Commits `plan` for `task` at time `at` and fills `ids` with the concrete
+/// nodes, slot-aligned with the plan: a non-null `calendar` reserves the
+/// intervals on plan.node_ids; a het plan commits plan.node_ids directly
+/// (nodes of different speeds are not interchangeable); a homogeneous plan
+/// maps its sorted slots onto the plan.nodes earliest-free nodes at `at`.
+void commit_plan(const workload::Task& task, const TaskPlan& plan, Time at,
+                 cluster::Cluster& cluster, cluster::NodeCalendar* calendar,
+                 std::vector<cluster::NodeId>& ids);
 
 }  // namespace rtdls::sched

@@ -12,12 +12,16 @@
 // waiting); committed tasks are immutable. Commit events are versioned so a
 // re-plan invalidates stale commitments in the event queue.
 //
-// Engine notes: the waiting queue is kept in policy order so the admission
-// controller's incremental mode can re-plan only from the new task's
-// insertion point (see sched/admission.hpp); arrivals are merged from the
-// (sorted) trace instead of being enqueued, so the event heap only carries
-// commit events; and run() resets per-run state in place, which lets one
-// simulator instance serve back-to-back sweep cells without reallocating.
+// Engine notes: test selection and plan commit go through the admission
+// core shared with svc::AdmissionShard (AdmissionController::admit and
+// sched::commit_plan, see sched/admission.hpp); the simulator adds the event
+// loop, rollout, early release, metrics and the ScheduleLog. The waiting
+// queue is kept in policy order so the controller's incremental mode can
+// re-plan only from the new task's insertion point; arrivals are merged
+// from the (sorted) trace instead of being enqueued, so the event heap only
+// carries commit events; and run() resets per-run state in place, which
+// lets one simulator instance serve back-to-back sweep cells without
+// reallocating.
 #pragma once
 
 #include <cstdint>
@@ -145,8 +149,6 @@ class ClusterSimulator {
 
   // Scratch reused across arrivals/commits (no steady-state allocation).
   std::vector<const workload::Task*> waiting_view_;
-  std::vector<Time> free_scratch_;
-  std::vector<cluster::NodeId> free_ids_scratch_;
   std::vector<cluster::NodeId> ids_scratch_;
   std::vector<cluster::NodeId> by_release_scratch_;
   std::vector<Time> actual_sorted_scratch_;

@@ -1,6 +1,10 @@
 // One admission shard: a warm, single-threaded admission-control session
 // over its own cluster.
 //
+// Test selection and plan commit are the admission core shared with
+// sim::ClusterSimulator (AdmissionController::admit and sched::commit_plan,
+// see sched/admission.hpp); the shard adds its clock, op log and counters.
+//
 // The daemon partitions work by cluster - each shard owns an independent
 // Cluster, a warm AdmissionController session, and a waiting queue, and is
 // serialized by one mutex in the server layer (the shard itself is
@@ -142,8 +146,6 @@ class AdmissionShard {
 
   // Scratch reused across requests.
   std::vector<const workload::Task*> waiting_view_;
-  std::vector<cluster::Time> free_scratch_;
-  std::vector<cluster::NodeId> free_ids_scratch_;
   std::vector<cluster::NodeId> ids_scratch_;
 };
 

@@ -9,7 +9,8 @@
 //     homogeneous) with the controller cross-check armed: the delta session
 //     must stay bitwise schedule-identical to the full Figure-2 test, and
 //     its peak availability-state footprint must undercut the historical
-//     dense one-row-per-task representation by >= 5x.
+//     dense one-row-per-task representation by >= 5x (>= 25x on the
+//     N=1024 BM_AdmissionBurst burst).
 //  3. Het resolver differential: the galloped capacity-jump scan must return
 //     the exact accept position / reject reason of the linear reference walk
 //     on adversarial availability states (deep crossings, mid-scan hard
@@ -25,7 +26,9 @@
 #include "cluster/availability_delta.hpp"
 #include "cluster/speed_profile.hpp"
 #include "dlt/het_model.hpp"
+#include "sched/admission.hpp"
 #include "sched/het_planner.hpp"
+#include "sched/registry.hpp"
 #include "sim/schedule_log.hpp"
 #include "sim/simulator.hpp"
 #include "workload/generator.hpp"
@@ -245,6 +248,40 @@ TEST(DeltaSession, PeakStateBytesDropAtLeastFiveFoldVsDenseRows) {
       sim::simulate(het_config, "EDF-DLT", tasks, params.total_time);
   ASSERT_GT(het.admission_peak_bytes, 0u);
   EXPECT_GE(het.admission_peak_dense_bytes, 5 * het.admission_peak_bytes);
+}
+
+TEST(DeltaSession, BurstFootprintAtLeast25FoldBelowDenseRowsAtN1024) {
+  // BM_AdmissionBurst's scrambled-deadline EDF-DLT burst at N=1024, Q=256:
+  // only the sqrt(N)-cadence checkpoints and the frontier are dense, so the
+  // session holds at least 25x less than one dense row per task. Byte counts
+  // come from sizes, not capacities, so the ratio is deterministic.
+  const std::size_t n = 1024;
+  const std::size_t q = 256;
+  const cluster::ClusterParams params{.node_count = n, .cms = 1.0, .cps = 100.0};
+  const sched::Algorithm algorithm = sched::make_algorithm("EDF-DLT");
+  sched::AdmissionController controller(algorithm.policy, algorithm.rule.get());
+  const cluster::Cluster cluster(params);
+  std::vector<workload::Task> tasks(q);
+  for (std::size_t i = 0; i < q; ++i) {
+    tasks[i].id = i;
+    const double jitter = static_cast<double>((i * 2654435761u) % q);
+    tasks[i].spec = {0.0, 150.0 + static_cast<double>(i % 7) * 20.0,
+                     2.0e6 + jitter * 5.0e3};
+  }
+  std::vector<const workload::Task*> waiting;
+  for (const workload::Task& task : tasks) {
+    const sched::AdmissionOutcome outcome =
+        controller.test_incremental(task, waiting, params, cluster, 0.0);
+    ASSERT_TRUE(outcome.accepted);
+    waiting.resize(outcome.reused_prefix);
+    for (const sched::ScheduledTask& scheduled : outcome.schedule) {
+      waiting.push_back(scheduled.task);
+    }
+  }
+  const auto peak = controller.peak_session_memory();
+  ASSERT_GT(peak.bytes, 0u);
+  EXPECT_GE(peak.dense_equivalent_bytes, 25 * peak.bytes)
+      << "dense " << peak.dense_equivalent_bytes << " vs sparse " << peak.bytes;
 }
 
 // --- het resolver differential ---------------------------------------------

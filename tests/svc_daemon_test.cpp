@@ -1,7 +1,8 @@
 // rtdlsd subsystem tests: snapshot -> kill -> restore bit-identity at shard
-// and socket level, the concurrent-vs-serial op-log differential, per-request
-// deadlines under a deliberately hung request, and protocol-error survival
-// over a real socket.
+// and socket level, op-log replay of a refused admit, shard-vs-simulator
+// admission decisions, the concurrent-vs-serial op-log differential,
+// per-request deadlines under a deliberately hung request, and
+// protocol-error survival over a real socket.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -11,15 +12,20 @@
 
 #include <chrono>
 #include <cstring>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/speed_profile.hpp"
+#include "sched/registry.hpp"
+#include "sim/schedule_log.hpp"
+#include "sim/simulator.hpp"
 #include "svc/client.hpp"
 #include "svc/server.hpp"
 #include "svc/shard.hpp"
 #include "svc/snapshot.hpp"
+#include "workload/generator.hpp"
 
 namespace rtdls::svc {
 namespace {
@@ -152,6 +158,100 @@ TEST(SvcShard, StatelessSessionsMatchIncremental) {
   AdmissionShard b("EDF-DLT", stateless);
   for (const TestOp& op : scripted_ops(40)) {
     EXPECT_EQ(apply_op(a, op), apply_op(b, op));
+  }
+}
+
+TEST(SvcShard, RefusedDuplicateAdmitLeavesNoTrace) {
+  // A refused admit is not in the op log, so it must not move any counter:
+  // a shard rebuilt from the log has to snapshot the same bytes.
+  ShardConfig config;
+  config.params.node_count = 8;
+  config.record_ops = true;
+  AdmissionShard original("EDF-DLT", config);
+  TaskRecord record;
+  record.id = 1;
+  record.sigma = 150.0;
+  record.rel_deadline = 1.0e6;
+  ASSERT_TRUE(original.admit(record).accepted);
+  EXPECT_THROW(original.admit(record), ShardError);
+
+  AdmissionShard replayed("EDF-DLT", config);
+  for (const OpRecord& op : original.ops()) {
+    TestOp replay;
+    replay.kind = op.kind;
+    replay.record = op.record;
+    replay.task = op.task;
+    apply_op(replayed, replay);
+  }
+  ShardStatus a;
+  ShardStatus b;
+  original.fill_status(a);
+  replayed.fill_status(b);
+  EXPECT_EQ(1u, a.admits);
+  EXPECT_EQ(a.admits, b.admits);
+  EXPECT_EQ(a.accepted, b.accepted);
+  EXPECT_EQ(a.rejected, b.rejected);
+  EXPECT_EQ(a.committed, b.committed);
+  EXPECT_EQ(a.cancelled, b.cancelled);
+  EXPECT_EQ(a.waiting, b.waiting);
+  EXPECT_EQ(snapshot_bytes(original), snapshot_bytes(replayed));
+}
+
+/// Ids of the tasks a fresh shard accepts when fed `tasks` in arrival order.
+std::set<cluster::TaskId> shard_accepted(const std::string& algorithm,
+                                         const cluster::ClusterParams& params,
+                                         const std::vector<workload::Task>& tasks) {
+  ShardConfig config;
+  config.params = params;
+  AdmissionShard shard(algorithm, config);
+  std::set<cluster::TaskId> accepted;
+  for (const workload::Task& task : tasks) {
+    if (shard.admit(TaskRecord::from_task(task)).accepted) accepted.insert(task.id);
+  }
+  return accepted;
+}
+
+/// Ids of the tasks the simulator commits (every accepted task commits by
+/// the end of the run's drain).
+std::set<cluster::TaskId> simulator_accepted(const std::string& algorithm,
+                                             const cluster::ClusterParams& params,
+                                             const std::vector<workload::Task>& tasks,
+                                             cluster::Time horizon) {
+  sim::ScheduleLog log;
+  sim::SimulatorConfig config;
+  config.params = params;
+  config.schedule_log = &log;
+  sim::simulate(config, algorithm, tasks, horizon);
+  std::set<cluster::TaskId> accepted;
+  for (const sim::ScheduleEntry& entry : log.entries()) accepted.insert(entry.task);
+  return accepted;
+}
+
+TEST(SvcShard, AcceptsExactlyWhatTheSimulatorAccepts) {
+  // Both drivers run the same admission core (admit + commit_plan); fed the
+  // same arrivals, they must accept the same tasks for every algorithm,
+  // homogeneous and het, at tight and loose deadlines.
+  cluster::ClusterParams het{.node_count = 16, .cms = 1.0, .cps = 100.0};
+  het.speed_profile = std::make_shared<const cluster::SpeedProfile>(
+      cluster::SpeedProfile::uniform(16, 50.0, 150.0, 3));
+  for (const double dc_ratio : {2.0, 8.0}) {
+    workload::WorkloadParams params;
+    params.cluster = {.node_count = 16, .cms = 1.0, .cps = 100.0};
+    params.system_load = 0.9;
+    params.dc_ratio = dc_ratio;
+    params.total_time = 2.0e5;
+    params.seed = 11;
+    const std::vector<workload::Task> tasks = workload::generate_workload(params);
+    for (const std::string& algorithm : sched::all_algorithm_names()) {
+      for (const cluster::ClusterParams& cluster : {params.cluster, het}) {
+        SCOPED_TRACE(algorithm + (cluster.heterogeneous() ? " het" : " hom") +
+                     " dc_ratio " + std::to_string(dc_ratio));
+        const std::set<cluster::TaskId> by_simulator =
+            simulator_accepted(algorithm, cluster, tasks, params.total_time);
+        EXPECT_FALSE(by_simulator.empty());
+        EXPECT_EQ(by_simulator, shard_accepted(algorithm, cluster, tasks));
+      }
+    }
   }
 }
 
