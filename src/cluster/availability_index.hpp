@@ -76,8 +76,8 @@ class AvailabilityIndex {
   /// `from` must be the node's currently indexed time (throws
   /// std::logic_error otherwise - a desynced index is a bug, not a state).
   /// Returns the reposition depth: how many entries the bucket-local
-  /// shifts moved to make room. The cluster feeds it to the
-  /// `rtdls_index_commit_depth` histogram.
+  /// shifts moved to make room. The cluster returns it to the committer,
+  /// which sums it per task (cluster::CommitDepth).
   RTDLS_HOT std::size_t update(NodeId node, Time from, Time to);
 
   /// Number of nodes with free_at <= t: the paper's AN(t) ("available

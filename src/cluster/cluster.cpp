@@ -9,11 +9,11 @@ namespace rtdls::cluster {
 
 namespace {
 
-/// Reposition-depth distribution across every index mutation: how many
-/// entries each update's bucket-local shifts moved (bounded by the bucket
-/// fanout, so the p99 stays flat as N grows). Recorded here -
-/// not inside the RTDLS_HOT AvailabilityIndex::update - because histogram
-/// writes may grow a thread shard on first contact.
+/// Reposition-depth distribution, one sample per committed task: how many
+/// entries that task's index updates' bucket-local shifts moved on average
+/// (bounded by the bucket fanout, so the p99 stays flat as N grows).
+/// Recorded here - not inside the RTDLS_HOT AvailabilityIndex::update -
+/// because histogram writes may grow a thread shard on first contact.
 obs::Histogram& commit_depth_histogram() {
   static obs::Histogram histogram =
       obs::Registry::global().histogram("rtdls_index_commit_depth");
@@ -21,6 +21,12 @@ obs::Histogram& commit_depth_histogram() {
 }
 
 }  // namespace
+
+void CommitDepth::record() const {
+  if (updates == 0) return;
+  commit_depth_histogram().record(static_cast<double>(total) /
+                                  static_cast<double>(updates));
+}
 
 Cluster::Cluster(ClusterParams params) : params_(std::move(params)) {
   if (!params_.valid()) throw std::invalid_argument("Cluster: invalid parameters");
@@ -75,22 +81,22 @@ void Cluster::earliest_free_nodes_into(Time now, std::size_t n,
   index_.earliest_free_nodes_into(now, n, out);
 }
 
-void Cluster::commit(NodeId id, TaskId task, Time usable_from, Time start, Time end) {
+std::size_t Cluster::commit(NodeId id, TaskId task, Time usable_from, Time start, Time end) {
   Node& node = nodes_.at(id);
   const Time before = node.free_at();
   node.commit(task, usable_from, start, end);
   const std::size_t depth = index_.update(id, before, node.free_at());
-  commit_depth_histogram().record(static_cast<double>(depth));
   ++version_;
+  return depth;
 }
 
-void Cluster::release_early(NodeId id, Time at) {
+std::size_t Cluster::release_early(NodeId id, Time at) {
   Node& node = nodes_.at(id);
   const Time before = node.free_at();
   node.release_early(at);
   const std::size_t depth = index_.update(id, before, node.free_at());
-  commit_depth_histogram().record(static_cast<double>(depth));
   ++version_;
+  return depth;
 }
 
 void Cluster::restore_node(NodeId id, Time free_at, Time busy_time, Time idle_gap_time,
@@ -98,8 +104,7 @@ void Cluster::restore_node(NodeId id, Time free_at, Time busy_time, Time idle_ga
   Node& node = nodes_.at(id);
   const Time before = node.free_at();
   node.restore(free_at, busy_time, idle_gap_time, commitments);
-  const std::size_t depth = index_.update(id, before, node.free_at());
-  commit_depth_histogram().record(static_cast<double>(depth));
+  index_.update(id, before, node.free_at());
   ++version_;
 }
 

@@ -30,6 +30,24 @@ struct AvailabilityView {
   std::vector<double> cps;   ///< het only: unit processing cost per position
 };
 
+/// Index work of one committed task: the summed reposition depth of the
+/// node updates it made (its commits, then any early releases). record()
+/// writes one `rtdls_index_commit_depth` sample, the mean depth per update;
+/// it is that histogram's only writer, so the histogram counts committed
+/// tasks, not nodes.
+struct CommitDepth {
+  std::size_t total = 0;
+  std::size_t updates = 0;
+
+  void add(std::size_t depth) {
+    total += depth;
+    ++updates;
+  }
+
+  /// No-op when the task made no index update (calendar commits).
+  void record() const;
+};
+
 /// Mutable cluster state.
 class Cluster {
  public:
@@ -72,16 +90,19 @@ class Cluster {
   void earliest_free_nodes_into(Time now, std::size_t n, std::vector<NodeId>& out) const;
 
   /// Commits node `id` to `task` over [start, end); see Node::commit for
-  /// the `usable_from` IIT-accounting parameter.
-  void commit(NodeId id, TaskId task, Time usable_from, Time start, Time end);
+  /// the `usable_from` IIT-accounting parameter. Returns the index
+  /// reposition depth (see CommitDepth).
+  std::size_t commit(NodeId id, TaskId task, Time usable_from, Time start, Time end);
 
   /// Releases node `id` early at `at` (actual completion before estimate).
-  void release_early(NodeId id, Time at);
+  /// Returns the index reposition depth (see CommitDepth).
+  std::size_t release_early(NodeId id, Time at);
 
   /// Restores node `id` to an exact snapshot state (service-layer crash
   /// recovery): release time and accounting are taken verbatim, the sorted
   /// index is repositioned, and the availability version is bumped so any
-  /// admission session standing on the old state invalidates.
+  /// admission session standing on the old state invalidates. A restore is
+  /// not a commit: it records no commit depth.
   void restore_node(NodeId id, Time free_at, Time busy_time, Time idle_gap_time,
                     std::size_t commitments);
 

@@ -569,9 +569,10 @@ void AdmissionController::verify_against_full(
   }
 }
 
-void commit_plan(const workload::Task& task, const TaskPlan& plan, Time at,
-                 cluster::Cluster& cluster, cluster::NodeCalendar* calendar,
-                 std::vector<cluster::NodeId>& ids) {
+cluster::CommitDepth commit_plan(const workload::Task& task, const TaskPlan& plan, Time at,
+                                 cluster::Cluster& cluster, cluster::NodeCalendar* calendar,
+                                 std::vector<cluster::NodeId>& ids) {
+  cluster::CommitDepth depth;
   if (calendar != nullptr) {
     // Calendar-based plan: reserve the exact intervals it chose (possibly
     // backfilled into gaps in front of existing reservations).
@@ -579,7 +580,7 @@ void commit_plan(const workload::Task& task, const TaskPlan& plan, Time at,
     for (std::size_t i = 0; i < plan.nodes; ++i) {
       calendar->reserve(ids[i], plan.reserve_from[i], plan.node_release[i]);
     }
-    return;
+    return depth;
   }
   if (!plan.node_ids.empty()) {
     // Heterogeneous plan: the partition was computed for exactly these
@@ -590,9 +591,10 @@ void commit_plan(const workload::Task& task, const TaskPlan& plan, Time at,
     cluster.earliest_free_nodes_into(at, plan.nodes, ids);
   }
   for (std::size_t i = 0; i < plan.nodes; ++i) {
-    cluster.commit(ids[i], task.id, plan.available[i], plan.reserve_from[i],
-                   plan.node_release[i]);
+    depth.add(cluster.commit(ids[i], task.id, plan.available[i], plan.reserve_from[i],
+                             plan.node_release[i]));
   }
+  return depth;
 }
 
 }  // namespace rtdls::sched

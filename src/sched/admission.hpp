@@ -275,8 +275,12 @@ class AdmissionController {
 /// intervals on plan.node_ids; a het plan commits plan.node_ids directly
 /// (nodes of different speeds are not interchangeable); a homogeneous plan
 /// maps its sorted slots onto the plan.nodes earliest-free nodes at `at`.
-void commit_plan(const workload::Task& task, const TaskPlan& plan, Time at,
-                 cluster::Cluster& cluster, cluster::NodeCalendar* calendar,
-                 std::vector<cluster::NodeId>& ids);
+/// Returns the task's index work (empty for calendar commits); the caller
+/// adds any early releases of the same nodes and records it once.
+[[nodiscard]] cluster::CommitDepth commit_plan(const workload::Task& task,
+                                               const TaskPlan& plan, Time at,
+                                               cluster::Cluster& cluster,
+                                               cluster::NodeCalendar* calendar,
+                                               std::vector<cluster::NodeId>& ids);
 
 }  // namespace rtdls::sched

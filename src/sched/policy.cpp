@@ -13,11 +13,7 @@ std::string_view policy_name(Policy policy) {
 }
 
 bool policy_less(Policy policy, const workload::Task& a, const workload::Task& b) {
-  if (policy == Policy::kEdf) {
-    if (a.abs_deadline() != b.abs_deadline()) return a.abs_deadline() < b.abs_deadline();
-  }
-  if (a.arrival() != b.arrival()) return a.arrival() < b.arrival();
-  return a.id < b.id;
+  return policy_less(policy, policy_key(a), policy_key(b));
 }
 
 void order_tasks(Policy policy, std::vector<const workload::Task*>& tasks) {

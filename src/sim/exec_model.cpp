@@ -1,6 +1,7 @@
 #include "sim/exec_model.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include "util/fp.hpp"
 
@@ -14,13 +15,19 @@ Time ActualTimeline::task_completion() const {
 
 ActualTimeline roll_out(const cluster::ClusterParams& params, double sigma,
                         const sched::TaskPlan& plan, Time channel_available) {
+  ActualTimeline timeline;
+  roll_out(params, sigma, plan, channel_available, timeline);
+  return timeline;
+}
+
+void roll_out(const cluster::ClusterParams& params, double sigma, const sched::TaskPlan& plan,
+              Time channel_available, ActualTimeline& out) {
   if (plan.nodes == 0) throw std::invalid_argument("roll_out: empty plan");
   if (!(sigma > 0.0)) throw std::invalid_argument("roll_out: sigma must be > 0");
 
-  ActualTimeline timeline;
-  timeline.tx_start.resize(plan.nodes);
-  timeline.tx_end.resize(plan.nodes);
-  timeline.completion.resize(plan.nodes);
+  out.tx_start.resize(plan.nodes);
+  out.tx_end.resize(plan.nodes);
+  out.completion.resize(plan.nodes);
 
   Time channel_free = channel_available;
   for (std::size_t i = 0; i < plan.nodes; ++i) {
@@ -32,48 +39,55 @@ ActualTimeline roll_out(const cluster::ClusterParams& params, double sigma,
     // The chunk may not be sent before the node is reserved for the task
     // (its own available time; r_n for OPR rules) nor before the previous
     // chunk left the channel.
-    timeline.tx_start[i] = std::max(plan.reserve_from[i], channel_free);
-    timeline.tx_end[i] = timeline.tx_start[i] + tx_cost;
-    timeline.completion[i] = timeline.tx_end[i] + compute_cost;
-    channel_free = timeline.tx_end[i];
+    out.tx_start[i] = std::max(plan.reserve_from[i], channel_free);
+    out.tx_end[i] = out.tx_start[i] + tx_cost;
+    out.completion[i] = out.tx_end[i] + compute_cost;
+    channel_free = out.tx_end[i];
   }
-  return timeline;
 }
 
 ResultTimeline roll_out_with_results(const cluster::ClusterParams& params, double sigma,
                                      double delta, const sched::TaskPlan& plan,
                                      Time channel_available) {
+  ResultTimeline timeline;
+  roll_out_with_results(params, sigma, delta, plan, channel_available, timeline);
+  return timeline;
+}
+
+void roll_out_with_results(const cluster::ClusterParams& params, double sigma, double delta,
+                           const sched::TaskPlan& plan, Time channel_available,
+                           ResultTimeline& out) {
   if (!(delta >= 0.0)) {
     throw std::invalid_argument("roll_out_with_results: delta must be >= 0");
   }
-  ResultTimeline timeline;
-  timeline.input = roll_out(params, sigma, plan, channel_available);
+  roll_out(params, sigma, plan, channel_available, out.input);
+  std::vector<std::size_t>& order = out.service_order;
+  order.resize(plan.nodes);
+  std::iota(order.begin(), order.end(), std::size_t{0});
   if (fp::exact_eq(delta, 0.0)) {
-    timeline.result_tx_start = timeline.input.completion;
-    timeline.result_tx_end = timeline.input.completion;
-    timeline.task_completion = timeline.input.task_completion();
-    return timeline;
+    out.result_tx_start = out.input.completion;
+    out.result_tx_end = out.input.completion;
+    out.task_completion = out.input.task_completion();
+    return;
   }
 
   // Serve result returns in node-completion order on the shared channel,
   // which frees after the last input transmission.
-  std::vector<std::size_t> order(plan.nodes);
-  for (std::size_t i = 0; i < plan.nodes; ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return timeline.input.completion[a] < timeline.input.completion[b];
+    return out.input.completion[a] < out.input.completion[b];
   });
 
-  timeline.result_tx_start.resize(plan.nodes);
-  timeline.result_tx_end.resize(plan.nodes);
-  Time channel_free = timeline.input.tx_end.back();
+  out.result_tx_start.resize(plan.nodes);
+  out.result_tx_end.resize(plan.nodes);
+  out.task_completion = 0.0;
+  Time channel_free = out.input.tx_end.back();
   for (std::size_t i : order) {
     const double result_cost = delta * plan.alpha[i] * sigma * params.cms;
-    timeline.result_tx_start[i] = std::max(timeline.input.completion[i], channel_free);
-    timeline.result_tx_end[i] = timeline.result_tx_start[i] + result_cost;
-    channel_free = timeline.result_tx_end[i];
-    timeline.task_completion = std::max(timeline.task_completion, channel_free);
+    out.result_tx_start[i] = std::max(out.input.completion[i], channel_free);
+    out.result_tx_end[i] = out.result_tx_start[i] + result_cost;
+    channel_free = out.result_tx_end[i];
+    out.task_completion = std::max(out.task_completion, channel_free);
   }
-  return timeline;
 }
 
 }  // namespace rtdls::sim

@@ -11,6 +11,7 @@
 
 #include "dlt/params.hpp"
 #include "sched/plan.hpp"
+#include "util/annotations.hpp"
 
 namespace rtdls::sim {
 
@@ -37,12 +38,22 @@ struct ActualTimeline {
 ActualTimeline roll_out(const cluster::ClusterParams& params, double sigma,
                         const sched::TaskPlan& plan, Time channel_available = 0.0);
 
+/// Same rollout written into `out`, reusing its capacity (the simulator's
+/// per-commit form: a warmed timeline makes it allocation-free). Every
+/// field is resized to plan.nodes, so a reused timeline holds no stale tail.
+RTDLS_HOT void roll_out(const cluster::ClusterParams& params, double sigma,
+                        const sched::TaskPlan& plan, Time channel_available,
+                        ActualTimeline& out);
+
 /// Timeline including the result-collection phase (output-data extension).
 struct ResultTimeline {
   ActualTimeline input;              ///< input transmissions + computation
   std::vector<Time> result_tx_start; ///< per node, in node-completion order
   std::vector<Time> result_tx_end;
   Time task_completion = 0.0;        ///< last result delivered to the head node
+  /// Slots in the order their results were served (node-completion order);
+  /// the identity order when delta == 0 (no result phase).
+  std::vector<std::size_t> service_order;
 };
 
 /// Rolls out `plan` including result returns: each node sends back
@@ -53,5 +64,10 @@ struct ResultTimeline {
 ResultTimeline roll_out_with_results(const cluster::ClusterParams& params, double sigma,
                                      double delta, const sched::TaskPlan& plan,
                                      Time channel_available = 0.0);
+
+/// Same rollout written into `out`, reusing its capacity.
+void roll_out_with_results(const cluster::ClusterParams& params, double sigma, double delta,
+                           const sched::TaskPlan& plan, Time channel_available,
+                           ResultTimeline& out);
 
 }  // namespace rtdls::sim

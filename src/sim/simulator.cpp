@@ -103,7 +103,7 @@ SimMetrics ClusterSimulator::run_stream(TaskSource& source, Time horizon) {
     if (take_commit) {
       const Event<CommitEvent> event = queue_.pop();
       now_ = event.time;
-      handle_commit(event.payload.id, event.payload.version);
+      handle_commit(event.payload);
     } else {
       // A vector source was pre-checked by run(); a streamed trace can only
       // be validated as it flows.
@@ -212,19 +212,26 @@ void ClusterSimulator::adopt_schedule(std::size_t reused_prefix,
     entry.plan = std::move(scheduled.plan);
     entry.version = next_version_++;
     const Time commit_at = std::max(entry.plan.commit_time(), now_);
-    const cluster::TaskId id = entry.task->id;
-    const std::uint64_t version = entry.version;
+    const CommitEvent event{sched::policy_key(*entry.task), entry.version};
     waiting_.push_back(std::move(entry));
-    queue_.push(commit_at, EventPriority::kCommit, CommitEvent{id, version});
+    queue_.push(commit_at, EventPriority::kCommit, event);
   }
 }
 
-void ClusterSimulator::handle_commit(cluster::TaskId id, std::uint64_t version) {
+void ClusterSimulator::handle_commit(const CommitEvent& event) {
   RTDLS_TRACE_SCOPE("sim.commit", "sim");
-  const auto it = std::find_if(waiting_.begin(), waiting_.end(), [&](const WaitingEntry& w) {
-    return w.task->id == id && w.version == version;
-  });
-  if (it == waiting_.end()) return;  // superseded by a later re-plan
+  // The waiting queue is in strict policy order, so the event's key lands
+  // on the only entry that can be its task in O(log Q). Another task there,
+  // or a newer version, means a later re-plan superseded the event.
+  const sched::Policy policy = algorithm_->policy;
+  const auto it = std::lower_bound(
+      waiting_.begin(), waiting_.end(), event.key,
+      [policy](const WaitingEntry& w, const sched::PolicyKey& key) {
+        return sched::policy_less(policy, sched::policy_key(*w.task), key);
+      });
+  if (it == waiting_.end() || it->task->id != event.key.id || it->version != event.version) {
+    return;
+  }
   WaitingEntry entry = std::move(*it);
   waiting_.erase(it);
   const bool matches_plan = commit_task(now_, entry);
@@ -246,15 +253,17 @@ bool ClusterSimulator::commit_task(Time now, const WaitingEntry& entry) {
   const sched::TaskPlan& plan = entry.plan;
   const workload::Task& task = *entry.task;
 
-  std::vector<cluster::NodeId>& ids = ids_scratch_;
-  sched::commit_plan(task, plan, now, cluster_, calendar_ ? &*calendar_ : nullptr, ids);
+  const std::vector<cluster::NodeId>& ids = ids_scratch_;
+  cluster::CommitDepth depth =
+      sched::commit_plan(task, plan, now, cluster_, calendar_ ? &*calendar_ : nullptr,
+                         ids_scratch_);
 
   // Roll out the actual timeline on the (dedicated or shared) channel.
   // Multi-round plans already carry their exact rolled-out per-node
   // finishes (built by build_multiround_schedule); re-rolling them through
   // the single-round model would be the wrong execution semantics.
   RTDLS_TRACE_SCOPE("sim.rollout", "sim");
-  ActualTimeline timeline;
+  ActualTimeline& timeline = timeline_;
   Time actual = 0.0;
   if (plan.rounds > 1) {
     timeline.tx_start = plan.reserve_from;
@@ -284,16 +293,17 @@ bool ClusterSimulator::commit_task(Time now, const WaitingEntry& entry) {
     actual = timeline.task_completion();
   } else if (config_.output_ratio > 0.0) {
     const Time channel_at = config_.shared_link ? channel_free_ : 0.0;
-    ResultTimeline with_results = roll_out_with_results(
-        config_.params, task.sigma(), config_.output_ratio, plan, channel_at);
-    actual = with_results.task_completion;
-    timeline = std::move(with_results.input);
-    // A node is truly done once its result left for the head node.
-    timeline.completion = std::move(with_results.result_tx_end);
+    roll_out_with_results(config_.params, task.sigma(), config_.output_ratio, plan,
+                          channel_at, results_);
+    actual = results_.task_completion;
+    // Swap buffers rather than copy: the timeline takes the input phase,
+    // and a node is truly done once its result left for the head node.
+    std::swap(timeline, results_.input);
+    std::swap(timeline.completion, results_.result_tx_end);
     if (config_.shared_link) channel_free_ = actual;
   } else {
     const Time channel_at = config_.shared_link ? channel_free_ : 0.0;
-    timeline = roll_out(config_.params, task.sigma(), plan, channel_at);
+    roll_out(config_.params, task.sigma(), plan, channel_at, timeline);
     if (config_.shared_link) channel_free_ = timeline.tx_end.back();
     actual = timeline.task_completion();
   }
@@ -343,38 +353,46 @@ bool ClusterSimulator::commit_task(Time now, const WaitingEntry& entry) {
   const double e_planned = plan.est_completion - plan.available.back();
   metrics_.iit_compression.add((e_no_iit - e_planned) / e_no_iit);
 
-  if (config_.release_policy == ReleasePolicy::kActual && !config_.shared_link &&
-      !calendar_) {
-    if (!plan.node_cps.empty()) {
-      // Heterogeneous plans keep slot identity end to end: slot i's work ran
-      // on node ids[i] at its own speed, so each node hands back exactly its
-      // own unused tail (order statistics would release the wrong node when
-      // speeds differ).
-      for (std::size_t i = 0; i < plan.nodes; ++i) {
-        const Time at = std::min(timeline.completion[i], cluster_.node(ids[i]).free_at());
-        cluster_.release_early(ids[i], at);
-      }
-      return false;  // availability no longer matches the plan's releases
+  const bool release_actual = config_.release_policy == ReleasePolicy::kActual &&
+                              !config_.shared_link && !calendar_;
+  if (release_actual) release_unused_tails(plan, depth);
+  depth.record();
+  // After early releases the availability no longer matches the plan's
+  // releases; calendar commits never touch the session's availability.
+  return !release_actual && !calendar_;
+}
+
+void ClusterSimulator::release_unused_tails(const sched::TaskPlan& plan,
+                                            cluster::CommitDepth& depth) {
+  const std::vector<cluster::NodeId>& ids = ids_scratch_;
+  const std::vector<Time>& completion = timeline_.completion;
+  if (!plan.node_cps.empty()) {
+    // Heterogeneous plans keep slot identity end to end: slot i's work ran
+    // on node ids[i] at its own speed, so each node hands back exactly its
+    // own unused tail (order statistics would release the wrong node when
+    // speeds differ).
+    for (std::size_t i = 0; i < plan.nodes; ++i) {
+      const Time at = std::min(completion[i], cluster_.node(ids[i]).free_at());
+      depth.add(cluster_.release_early(ids[i], at));
     }
-    // Theorem 4: each node's actual finish is no later than the estimate it
-    // was committed until; hand the unused tail back. Pair sorted actual
-    // completions with the nodes sorted by committed release so order
-    // statistics keep every early release valid.
-    std::vector<Time>& actual_sorted = actual_sorted_scratch_;
-    actual_sorted = timeline.completion;
-    std::sort(actual_sorted.begin(), actual_sorted.end());
-    std::vector<cluster::NodeId>& by_release = by_release_scratch_;
-    by_release = ids;
-    std::sort(by_release.begin(), by_release.end(), [&](cluster::NodeId a, cluster::NodeId b) {
-      return cluster_.node(a).free_at() < cluster_.node(b).free_at();
-    });
-    for (std::size_t i = 0; i < by_release.size(); ++i) {
-      const Time at = std::min(actual_sorted[i], cluster_.node(by_release[i]).free_at());
-      cluster_.release_early(by_release[i], at);
-    }
-    return false;  // availability no longer matches the plan's releases
+    return;
   }
-  return !calendar_;
+  // Theorem 4: each node's actual finish is no later than the estimate it
+  // was committed until; hand the unused tail back. Pair sorted actual
+  // completions with the nodes sorted by committed release so order
+  // statistics keep every early release valid.
+  std::vector<Time>& actual_sorted = actual_sorted_scratch_;
+  actual_sorted = completion;
+  std::sort(actual_sorted.begin(), actual_sorted.end());
+  std::vector<cluster::NodeId>& by_release = by_release_scratch_;
+  by_release = ids;
+  std::sort(by_release.begin(), by_release.end(), [&](cluster::NodeId a, cluster::NodeId b) {
+    return cluster_.node(a).free_at() < cluster_.node(b).free_at();
+  });
+  for (std::size_t i = 0; i < by_release.size(); ++i) {
+    const Time at = std::min(actual_sorted[i], cluster_.node(by_release[i]).free_at());
+    depth.add(cluster_.release_early(by_release[i], at));
+  }
 }
 
 SimMetrics simulate(const SimulatorConfig& config, const std::string& algorithm_name,

@@ -35,6 +35,7 @@
 #include "sched/het_planner.hpp"
 #include "sched/registry.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/exec_model.hpp"
 #include "sim/metrics.hpp"
 #include "sim/schedule_log.hpp"
 #include "sim/task_source.hpp"
@@ -113,18 +114,25 @@ class ClusterSimulator {
     std::uint64_t version = 0;
   };
 
-  /// Commit event payload: versions invalidate superseded plans.
+  /// Commit event payload: versions invalidate superseded plans. The task
+  /// is named by its policy key, never by pointer: handle_commit finds the
+  /// live entry by binary search over the policy-ordered waiting queue, and
+  /// a superseded event's task may already be gone.
   struct CommitEvent {
-    cluster::TaskId id = cluster::kNoTask;
+    sched::PolicyKey key;
     std::uint64_t version = 0;
   };
 
   void handle_arrival(const workload::Task& task);
-  void handle_commit(cluster::TaskId id, std::uint64_t version);
+  void handle_commit(const CommitEvent& event);
   /// Returns true when the cluster's post-commit availability equals the
   /// plan's releases exactly (no early release), i.e. the admission session
   /// may advance instead of invalidating.
   bool commit_task(Time now, const WaitingEntry& entry);
+  /// ReleasePolicy::kActual: hands back the unused tail of each node the
+  /// task just committed (ids_scratch_, rolled out in timeline_), adding
+  /// the index work to the task's `depth`.
+  void release_unused_tails(const sched::TaskPlan& plan, cluster::CommitDepth& depth);
   void adopt_schedule(std::size_t reused_prefix,
                       std::vector<sched::ScheduledTask>& schedule);
 
@@ -150,6 +158,8 @@ class ClusterSimulator {
   // Scratch reused across arrivals/commits (no steady-state allocation).
   std::vector<const workload::Task*> waiting_view_;
   std::vector<cluster::NodeId> ids_scratch_;
+  ActualTimeline timeline_;  ///< the committing task's rollout
+  ResultTimeline results_;   ///< output-data rollouts (output_ratio > 0)
   std::vector<cluster::NodeId> by_release_scratch_;
   std::vector<Time> actual_sorted_scratch_;
   std::vector<double> alpha_scratch_;

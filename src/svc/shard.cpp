@@ -55,8 +55,8 @@ void AdmissionShard::commit_entry(std::size_t index) {
   const cluster::Time at = entry.commit_at;
   if (at > now_) now_ = at;
 
-  sched::commit_plan(*entry.task, entry.plan, at, cluster_, calendar_.get(),
-                     ids_scratch_);
+  sched::commit_plan(*entry.task, entry.plan, at, cluster_, calendar_.get(), ids_scratch_)
+      .record();
 
   if (!calendar_) {
     // Estimate-release commit: the committed reservations equal the plan's

@@ -2,6 +2,10 @@
 // turns Theorem 4 into a runtime-checked invariant.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "dlt/het_model.hpp"
 #include "dlt/homogeneous.hpp"
 #include "dlt/user_split.hpp"
@@ -131,6 +135,70 @@ TEST(ExecModel, InvalidInputsThrow) {
   EXPECT_THROW(roll_out(paper_params(), 100.0, empty), std::invalid_argument);
   const sched::TaskPlan plan = dlt_plan(200.0, {0.0});
   EXPECT_THROW(roll_out(paper_params(), 0.0, plan), std::invalid_argument);
+}
+
+/// A random single-round plan over `n` slots: sorted reservation starts,
+/// normalized fractions, and per-slot speeds when `het`.
+sched::TaskPlan synthetic_plan(std::size_t n, bool het, workload::Xoshiro256StarStar& rng) {
+  sched::TaskPlan plan;
+  plan.task = 1;
+  plan.nodes = n;
+  cluster::Time t = 0.0;
+  double total = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    t += workload::sample_uniform(rng, 0.0, 50.0);
+    plan.available.push_back(t);
+    plan.alpha.push_back(workload::sample_uniform(rng, 0.1, 1.0));
+    total += plan.alpha.back();
+    if (het) plan.node_cps.push_back(workload::sample_uniform(rng, 50.0, 150.0));
+  }
+  for (double& alpha : plan.alpha) alpha /= total;
+  plan.reserve_from = plan.available;
+  plan.est_completion = t + 1.0e5;
+  plan.node_release.assign(n, plan.est_completion);
+  return plan;
+}
+
+/// Bitwise equality of two time columns (sizes included).
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+void expect_same_timeline(const ActualTimeline& fresh, const ActualTimeline& reused) {
+  EXPECT_TRUE(same_bits(fresh.tx_start, reused.tx_start));
+  EXPECT_TRUE(same_bits(fresh.tx_end, reused.tx_end));
+  EXPECT_TRUE(same_bits(fresh.completion, reused.completion));
+}
+
+TEST(ExecModel, ReusedTimelineMatchesFreshRollout) {
+  // Plans that grow, shrink, and grow again through one reused timeline:
+  // a stale tail or a carried-over completion would show as a bit mismatch.
+  workload::Xoshiro256StarStar rng(77);
+  const cluster::ClusterParams params = paper_params();
+  ActualTimeline reused;
+  ResultTimeline reused_results;
+  for (const bool het : {false, true}) {
+    for (const std::size_t n : {100u, 3u, 64u}) {
+      SCOPED_TRACE((het ? "het n=" : "hom n=") + std::to_string(n));
+      const sched::TaskPlan plan = synthetic_plan(n, het, rng);
+      const double sigma = workload::sample_uniform(rng, 10.0, 1000.0);
+      roll_out(params, sigma, plan, 37.5, reused);
+      expect_same_timeline(roll_out(params, sigma, plan, 37.5), reused);
+
+      for (const double delta : {0.25, 0.0}) {
+        const ResultTimeline fresh = roll_out_with_results(params, sigma, delta, plan, 37.5);
+        roll_out_with_results(params, sigma, delta, plan, 37.5, reused_results);
+        expect_same_timeline(fresh.input, reused_results.input);
+        EXPECT_TRUE(same_bits(fresh.result_tx_start, reused_results.result_tx_start));
+        EXPECT_TRUE(same_bits(fresh.result_tx_end, reused_results.result_tx_end));
+        EXPECT_EQ(fresh.service_order, reused_results.service_order);
+        EXPECT_EQ(std::memcmp(&fresh.task_completion, &reused_results.task_completion,
+                              sizeof(double)),
+                  0);
+      }
+    }
+  }
 }
 
 }  // namespace
