@@ -188,7 +188,7 @@ void BM_AdmissionBurst(benchmark::State& state) {
     controller.invalidate();
     waiting.clear();
     for (const workload::Task& task : tasks) {
-      sched::AdmissionOutcome outcome =
+      const sched::AdmissionOutcome& outcome =
           controller.test_incremental(task, waiting, params, cluster, 0.0);
       if (!outcome.accepted) continue;
       waiting.resize(outcome.reused_prefix);

@@ -55,7 +55,8 @@ int main() {
   for (const Job& job : jobs) {
     std::printf("job %s sigma=%5.0f D=%6.0f : ", job.label, job.task.sigma(),
                 job.task.rel_deadline());
-    const sched::AdmissionOutcome outcome =
+    // The outcome lives in the controller until its next test.
+    const sched::AdmissionOutcome& outcome =
         controller.test(&job.task, admitted, cluster, free_times, 0.0);
     if (!outcome.accepted) {
       std::printf("REJECTED (%s, blocking task %llu)\n",

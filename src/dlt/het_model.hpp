@@ -118,9 +118,9 @@ HetPartition build_het_partition(const ClusterParams& params, double sigma,
 /// Same construction over the first `n` entries of `available`, which must
 /// already be sorted ascending (the admission controller's availability
 /// state always is). Writes into `out` reusing its vectors' capacity.
-void build_het_partition_into(const ClusterParams& params, double sigma,
-                              const std::vector<Time>& available, std::size_t n,
-                              HetPartition& out);
+RTDLS_HOT void build_het_partition_into(const ClusterParams& params, double sigma,
+                                        const std::vector<Time>& available, std::size_t n,
+                                        HetPartition& out);
 
 /// Generalized Eq. (1) for a genuinely heterogeneous cluster: the offered
 /// nodes have *actual* unit costs `cps_actual[i]` (aligned with `available`,
@@ -136,10 +136,10 @@ void build_het_partition_into(const ClusterParams& params, double sigma,
 /// nodes - each starting at its own r_i at its actual speed - completes no
 /// later than r_n + E_hat; the simulator validates this for every commit.
 /// out.homogeneous_time holds E_ref, out.cps_i the equivalent costs.
-void build_het_partition_into(const ClusterParams& params, double sigma,
-                              const std::vector<Time>& available,
-                              const std::vector<double>& cps_actual, std::size_t n,
-                              HetPartition& out);
+RTDLS_HOT void build_het_partition_into(const ClusterParams& params, double sigma,
+                                        const std::vector<Time>& available,
+                                        const std::vector<double>& cps_actual, std::size_t n,
+                                        HetPartition& out);
 
 /// Upper bound on node i's *actual* completion time in the homogeneous
 /// cluster (proof of Theorem 4):

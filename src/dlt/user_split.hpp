@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "dlt/params.hpp"
+#include "util/annotations.hpp"
 
 namespace rtdls::dlt {
 
@@ -43,5 +44,14 @@ struct UserSplitSchedule {
 /// available times. Preconditions: valid params, sigma > 0, >= 1 node.
 UserSplitSchedule build_user_split_schedule(const ClusterParams& params, double sigma,
                                             std::vector<Time> available);
+
+/// The schedule's recurrence over `n` nodes whose available times
+/// `available[0..n)` are already sorted ascending: writes each C_i into
+/// `completion` (reusing its capacity) and, when `start` is non-null, each
+/// s_i into it. Same preconditions as build_user_split_schedule.
+RTDLS_HOT void user_split_completions_into(const ClusterParams& params, double sigma,
+                                           const Time* available, std::size_t n,
+                                           std::vector<Time>& completion,
+                                           std::vector<Time>* start = nullptr);
 
 }  // namespace rtdls::dlt

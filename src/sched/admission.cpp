@@ -40,13 +40,84 @@ AdmissionController::AdmissionController(Policy policy, const PartitionRule* rul
   if (rule_ == nullptr) throw std::invalid_argument("AdmissionController: null rule");
 }
 
-AdmissionOutcome AdmissionController::test(
+AdmissionOutcome& AdmissionController::test(
     const workload::Task* new_task,
     const std::vector<const workload::Task*>& waiting,
     const cluster::ClusterParams& params,
-    std::vector<Time> free_times, Time now,
+    const std::vector<Time>& free_times, Time now,
     const cluster::NodeCalendar* calendar,
-    std::vector<cluster::NodeId> node_ids) const {
+    const std::vector<cluster::NodeId>& node_ids) {
+  return test_into(outcome_, new_task, waiting, params, free_times, now, calendar, node_ids);
+}
+
+void AdmissionController::reset_outcome(AdmissionOutcome& out, std::size_t n) {
+  out.accepted = false;
+  out.reason = dlt::Infeasibility::kNone;
+  out.blocking_task = cluster::kNoTask;
+  out.reused_prefix = 0;
+  std::vector<ScheduledTask>& schedule = out.schedule;
+  while (schedule.size() > n) {
+    spare_plans_.push_back(std::move(schedule.back().plan));
+    schedule.pop_back();
+  }
+  while (schedule.size() < n) {
+    schedule.emplace_back();
+    schedule.back().plan = take_spare_plan();
+  }
+}
+
+TaskPlan AdmissionController::take_spare_plan() {
+  TaskPlan plan;
+  if (spare_plans_.empty()) {
+    // A new plan: the pool makes room for it too, so handing every plan
+    // back (invalidate, recycle_plan) never grows the pool.
+    ++plans_made_;
+    if (spare_plans_.capacity() < plans_made_) spare_plans_.reserve(2 * plans_made_);
+    fit_plan(plan);
+  } else {
+    plan = std::move(spare_plans_.back());
+    spare_plans_.pop_back();
+  }
+  return plan;
+}
+
+void AdmissionController::fit_plan(TaskPlan& plan) {
+  plan.available.reserve(widest_plan_);
+  plan.reserve_from.reserve(widest_plan_);
+  plan.node_release.reserve(widest_plan_);
+  plan.alpha.reserve(widest_plan_);
+  plan.node_ids.reserve(widest_ids_);
+  plan.node_cps.reserve(widest_ids_);
+}
+
+dlt::Infeasibility AdmissionController::plan_into(const PlanRequest& request,
+                                                  TaskPlan& slot) {
+  const dlt::Infeasibility reason = rule_->plan(request, slot);
+  if (reason == dlt::Infeasibility::kNone &&
+      (slot.nodes > widest_plan_ || slot.node_ids.size() > widest_ids_)) {
+    // Restore the capacity invariant over every held plan. The widths at
+    // least double (up to the node count, which no plan exceeds), so this
+    // runs O(log N) times per controller.
+    const std::size_t cap = request.params.node_count;
+    if (slot.nodes > widest_plan_) {
+      widest_plan_ = std::min(cap, std::max(slot.nodes, 2 * widest_plan_));
+    }
+    if (slot.node_ids.size() > widest_ids_) {
+      widest_ids_ = std::min(cap, std::max(slot.node_ids.size(), 2 * widest_ids_));
+    }
+    for (std::size_t r = head_; r < plans_.size(); ++r) fit_plan(plans_[r]);
+    for (TaskPlan& plan : spare_plans_) fit_plan(plan);
+    for (ScheduledTask& entry : outcome_.schedule) fit_plan(entry.plan);
+  }
+  return reason;
+}
+
+AdmissionOutcome& AdmissionController::test_into(
+    AdmissionOutcome& out, const workload::Task* new_task,
+    const std::vector<const workload::Task*>& waiting,
+    const cluster::ClusterParams& params, const std::vector<Time>& free_times, Time now,
+    const cluster::NodeCalendar* calendar,
+    const std::vector<cluster::NodeId>& node_ids) {
   if (free_times.size() != params.node_count) {
     throw std::invalid_argument("AdmissionController::test: free_times size mismatch");
   }
@@ -58,80 +129,81 @@ AdmissionOutcome AdmissionController::test(
   if (rule_->uses_calendar()) temp_calendar = *calendar;
 
   // TempTaskList <- NewTask + TaskWaitingQueue, ordered by the policy.
-  std::vector<const workload::Task*> temp_list = waiting;
-  if (new_task != nullptr) temp_list.push_back(new_task);
-  order_tasks(policy_, temp_list);
+  temp_list_.assign(waiting.begin(), waiting.end());
+  if (new_task != nullptr) temp_list_.push_back(new_task);
+  order_tasks(policy_, temp_list_);
 
+  std::vector<Time>& times = temp_times_;
+  std::vector<cluster::NodeId>& ids = temp_ids_;
+  times = free_times;
   const bool het = params.heterogeneous();
   if (het) {
     // Co-floor and co-sort the (time, id) columns into strict (time, id)
     // order; an empty id column means free_times is indexed by node id.
     if (node_ids.empty()) {
-      node_ids.resize(free_times.size());
-      for (std::size_t i = 0; i < node_ids.size(); ++i) {
-        node_ids[i] = static_cast<cluster::NodeId>(i);
-      }
-    } else if (node_ids.size() != free_times.size()) {
+      ids.resize(times.size());
+      for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<cluster::NodeId>(i);
+    } else if (node_ids.size() != times.size()) {
       throw std::invalid_argument("AdmissionController::test: node_ids size mismatch");
+    } else {
+      ids = node_ids;
     }
-    het_merge_scratch_.resize(free_times.size());
-    for (std::size_t i = 0; i < free_times.size(); ++i) {
-      het_merge_scratch_[i] = {std::max(free_times[i], now), node_ids[i]};
+    het_merge_scratch_.resize(times.size());
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      het_merge_scratch_[i] = {std::max(times[i], now), ids[i]};
     }
     std::sort(het_merge_scratch_.begin(), het_merge_scratch_.end());
-    for (std::size_t i = 0; i < free_times.size(); ++i) {
-      free_times[i] = het_merge_scratch_[i].first;
-      node_ids[i] = het_merge_scratch_[i].second;
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      times[i] = het_merge_scratch_[i].first;
+      ids[i] = het_merge_scratch_[i].second;
     }
   } else {
-    for (Time& t : free_times) t = std::max(t, now);
-    std::sort(free_times.begin(), free_times.end());
+    for (Time& t : times) t = std::max(t, now);
+    std::sort(times.begin(), times.end());
   }
 
-  AdmissionOutcome outcome;
-  outcome.schedule.reserve(temp_list.size());
-
-  for (const workload::Task* task : temp_list) {
+  reset_outcome(out, temp_list_.size());
+  for (std::size_t i = 0; i < temp_list_.size(); ++i) {
+    const workload::Task* task = temp_list_[i];
     PlanRequest request;
     request.task = task;
     request.params = params;
-    request.free_times = &free_times;
-    request.node_ids = het ? &node_ids : nullptr;
+    request.free_times = &times;
+    request.node_ids = het ? &ids : nullptr;
     request.now = now;
     request.calendar = temp_calendar ? &*temp_calendar : nullptr;
 
-    PlanResult result = rule_->plan(request);
-    if (!result.feasible()) {
-      outcome.accepted = false;
-      outcome.reason = result.reason;
-      outcome.blocking_task = task->id;
-      outcome.schedule.clear();
-      return outcome;  // deadline miss somewhere in the temp list
+    ScheduledTask& entry = out.schedule[i];
+    entry.task = task;
+    const TaskPlan& plan = entry.plan;
+    const dlt::Infeasibility reason = plan_into(request, entry.plan);
+    if (reason != dlt::Infeasibility::kNone) {
+      reset_outcome(out, 0);
+      out.reason = reason;
+      out.blocking_task = task->id;
+      return out;  // deadline miss somewhere in the temp list
     }
 
     // Propagate the plan's reservations to the later temp-schedule tasks.
-    const TaskPlan& plan = result.plan;
     if (temp_calendar) {
       // Calendar-based rule: reserve the concrete intervals it chose.
-      for (std::size_t i = 0; i < plan.nodes; ++i) {
-        temp_calendar->reserve(plan.node_ids[i], plan.reserve_from[i],
-                               plan.node_release[i]);
+      for (std::size_t k = 0; k < plan.nodes; ++k) {
+        temp_calendar->reserve(plan.node_ids[k], plan.reserve_from[k],
+                               plan.node_release[k]);
       }
     } else if (het) {
-      cluster::apply_releases_het(free_times, node_ids, plan.node_release, plan.node_ids,
+      cluster::apply_releases_het(times, ids, plan.node_release, plan.node_ids,
                                   het_merge_scratch_);
     } else {
-      cluster::apply_releases(free_times, plan.node_release, merge_scratch_);
+      cluster::apply_releases(times, plan.node_release, merge_scratch_);
     }
-
-    outcome.schedule.push_back(ScheduledTask{task, std::move(result.plan)});
   }
 
-  outcome.accepted = true;
-  return outcome;
+  out.accepted = true;
+  return out;
 }
 
-AdmissionOutcome AdmissionController::admit(
+AdmissionOutcome& AdmissionController::admit(
     const workload::Task& task, const std::vector<const workload::Task*>& waiting,
     const cluster::ClusterParams& params, const cluster::Cluster& cluster,
     const cluster::NodeCalendar* calendar, Time now, bool incremental) {
@@ -155,12 +227,18 @@ AdmissionOutcome AdmissionController::admit(
 }
 
 void AdmissionController::invalidate() {
+  // Every plan goes back to the pool, capacity kept: the rebuild takes its
+  // slots from there in the order a fresh controller would make them.
+  // (Slots below head_ are empty: on_commit recycled their plans.)
+  for (std::size_t r = head_; r < plans_.size(); ++r) {
+    spare_plans_.push_back(std::move(plans_[r]));
+  }
+  plans_.clear();
   cache_valid_ = false;
   head_ = 0;
   planned_ = 0;
   synced_prefix_ = 0;
   order_.clear();
-  plans_.clear();
   delta_end_.clear();
   delta_times_.clear();
   delta_ids_.clear();
@@ -237,7 +315,7 @@ void AdmissionController::compact_head() {
   const auto offset = static_cast<std::ptrdiff_t>(cut);
   const std::size_t flat_cut = delta_start(cut);
   order_.erase(order_.begin(), order_.begin() + offset);
-  plans_.erase(plans_.begin(), plans_.begin() + offset);
+  plans_.erase(plans_.begin(), plans_.begin() + offset);  // emptied by on_commit
   delta_end_.erase(delta_end_.begin(), delta_end_.begin() + offset);
   for (std::size_t& end : delta_end_) end -= flat_cut;
   delta_times_.erase(delta_times_.begin(),
@@ -255,6 +333,11 @@ void AdmissionController::compact_head() {
   checkpoints_.erase(checkpoints_.begin(), keep);
   for (Checkpoint& cp : checkpoints_) cp.pos -= cut;
   head_ -= cut;
+}
+
+TaskPlan& AdmissionController::plan_slot(std::size_t pos) {
+  if (pos == plans_.size()) plans_.push_back(take_spare_plan());
+  return plans_[pos];
 }
 
 void AdmissionController::materialize_row(std::size_t pos) {
@@ -303,6 +386,7 @@ void AdmissionController::on_commit(const workload::Task* task, const TaskPlan& 
   // offset (the frontier row and every checkpoint keep their positions),
   // compacted back to the nearest checkpoint once the consumed prefix
   // outweighs the live part (amortized O(1) per advance).
+  spare_plans_.push_back(std::move(plans_[head_]));  // the caller holds it
   ++head_;
   --planned_;
   if (synced_prefix_ > 0) --synced_prefix_;
@@ -310,7 +394,7 @@ void AdmissionController::on_commit(const workload::Task* task, const TaskPlan& 
   if (head_ > 64 && head_ > order_.size() - head_) compact_head();
 }
 
-AdmissionOutcome AdmissionController::test_incremental(
+AdmissionOutcome& AdmissionController::test_incremental(
     const workload::Task& new_task, const std::vector<const workload::Task*>& waiting,
     const cluster::ClusterParams& params, const cluster::Cluster& cluster, Time now) {
   if (rule_->uses_calendar()) {
@@ -372,9 +456,9 @@ AdmissionOutcome AdmissionController::test_incremental(
                        }) -
       (order_.begin() + static_cast<std::ptrdiff_t>(head_)));
 
-  AdmissionOutcome outcome;
+  AdmissionOutcome& outcome = outcome_;
   const std::size_t start = std::min(p, planned_);
-  outcome.reused_prefix = std::min(synced_prefix_, start);
+  const std::size_t reused = std::min(synced_prefix_, start);
 
   // Working availability state := row of live position `start`: the dense
   // frontier when planning appends at the end, otherwise the nearest
@@ -402,12 +486,11 @@ AdmissionOutcome AdmissionController::test_incremental(
   request.node_ids = het ? &work_ids_ : nullptr;
   request.now = now;
 
-  auto reject = [&](dlt::Infeasibility reason, const workload::Task* blocker) {
-    outcome.accepted = false;
+  auto reject = [&](dlt::Infeasibility reason,
+                    const workload::Task* blocker) -> AdmissionOutcome& {
+    reset_outcome(outcome, 0);
     outcome.reason = reason;
     outcome.blocking_task = blocker->id;
-    outcome.reused_prefix = 0;
-    outcome.schedule.clear();
     note_session_peak();
     if (cross_check_) verify_against_full(new_task, waiting, params, cluster, now, outcome);
     return outcome;
@@ -444,10 +527,10 @@ AdmissionOutcome AdmissionController::test_incremental(
       if (doomed != dlt::Infeasibility::kNone) return reject(doomed, order_[head_ + i]);
     }
     request.task = order_[head_ + i];
-    PlanResult result = rule_->plan(request);
-    if (!result.feasible()) return reject(result.reason, order_[head_ + i]);
-    apply_and_record(result.plan, delta_end_, delta_times_, delta_ids_);
-    plans_.push_back(std::move(result.plan));
+    TaskPlan& plan = plan_slot(head_ + i);  // the first spare slot
+    const dlt::Infeasibility reason = plan_into(request, plan);
+    if (reason != dlt::Infeasibility::kNone) return reject(reason, order_[head_ + i]);
+    apply_and_record(plan, delta_end_, delta_times_, delta_ids_);
     fronts_.push_back(work_state_.front());
     ++planned_;
     top_times_ = work_state_;
@@ -461,8 +544,9 @@ AdmissionOutcome AdmissionController::test_incremental(
   }
 
   // From the insertion point on the temp list diverges from the waiting
-  // queue; plan into scratch and adopt only if the whole suffix fits.
-  scratch_plans_.clear();
+  // queue; plan into the outcome's slots (temp position i is outcome entry
+  // i - reused) and adopt only if the whole suffix fits.
+  reset_outcome(outcome, q + 1 - reused);
   scratch_delta_end_.clear();
   scratch_delta_times_.clear();
   scratch_delta_ids_.clear();
@@ -484,11 +568,10 @@ AdmissionOutcome AdmissionController::test_incremental(
       if (doomed != dlt::Infeasibility::kNone) return reject(doomed, task);
     }
     request.task = task;
-    PlanResult result = rule_->plan(request);
-    if (!result.feasible()) return reject(result.reason, task);
-    apply_and_record(result.plan, scratch_delta_end_, scratch_delta_times_,
-                     scratch_delta_ids_);
-    scratch_plans_.push_back(std::move(result.plan));
+    TaskPlan& plan = outcome.schedule[i - reused].plan;
+    const dlt::Infeasibility reason = plan_into(request, plan);
+    if (reason != dlt::Infeasibility::kNone) return reject(reason, task);
+    apply_and_record(plan, scratch_delta_end_, scratch_delta_times_, scratch_delta_ids_);
     scratch_fronts_.push_back(work_state_.front());
     const std::size_t row = head_ + i + 1;  // row after planning temp entry i
     if (i < q && row >= last_checkpoint + checkpoint_every_) {
@@ -503,10 +586,11 @@ AdmissionOutcome AdmissionController::test_incremental(
 
   // Accepted: adopt the scratch suffix into the session. The replaced
   // suffix rolls back by truncation (its deltas, fronts, and checkpoints
-  // simply fall off the stack).
+  // simply fall off the stack); its plans are overwritten in place.
   order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(head_ + p), &new_task);
-  plans_.resize(head_ + p);
-  for (TaskPlan& plan : scratch_plans_) plans_.push_back(std::move(plan));
+  for (std::size_t i = p; i <= q; ++i) {
+    plan_slot(head_ + i) = outcome.schedule[i - reused].plan;  // copy into kept capacity
+  }
   const std::size_t flat_base = delta_start(head_ + p);
   delta_end_.resize(head_ + p);
   delta_times_.resize(flat_base);
@@ -534,9 +618,11 @@ AdmissionOutcome AdmissionController::test_incremental(
   admission_obs().replan_suffix.record(static_cast<double>(q + 1 - p));
 
   outcome.accepted = true;
-  outcome.schedule.reserve(q + 1 - outcome.reused_prefix);
-  for (std::size_t i = outcome.reused_prefix; i <= q; ++i) {
-    outcome.schedule.push_back(ScheduledTask{order_[head_ + i], plans_[head_ + i]});
+  outcome.reused_prefix = reused;
+  for (std::size_t i = reused; i <= q; ++i) {
+    ScheduledTask& entry = outcome.schedule[i - reused];
+    entry.task = order_[head_ + i];
+    if (i < p) entry.plan = plans_[head_ + i];  // copy into kept capacity
   }
   if (cross_check_) verify_against_full(new_task, waiting, params, cluster, now, outcome);
   return outcome;
@@ -545,11 +631,10 @@ AdmissionOutcome AdmissionController::test_incremental(
 void AdmissionController::verify_against_full(
     const workload::Task& new_task, const std::vector<const workload::Task*>& waiting,
     const cluster::ClusterParams& params, const cluster::Cluster& cluster, Time now,
-    const AdmissionOutcome& outcome) const {
-  cluster::AvailabilityView view = cluster.availability(now);
-  const AdmissionOutcome reference = test(&new_task, waiting, params,
-                                          std::move(view.times), now, nullptr,
-                                          std::move(view.ids));
+    const AdmissionOutcome& outcome) {
+  const cluster::AvailabilityView view = cluster.availability(now);
+  AdmissionOutcome reference;
+  test_into(reference, &new_task, waiting, params, view.times, now, nullptr, view.ids);
   auto fail = [](const std::string& what) {
     throw std::logic_error(
         "AdmissionController cross-check: incremental vs full Figure-2 mismatch: " + what);
@@ -566,6 +651,14 @@ void AdmissionController::verify_against_full(
   for (std::size_t i = 0; i < live; ++i) {
     if (reference.schedule[i].task != order_[head_ + i]) fail("task order");
     if (!(reference.schedule[i].plan == plans_[head_ + i])) fail("plan equality");
+  }
+  // The outcome's tail was copied into recycled storage: no field of an
+  // earlier plan may survive there.
+  if (outcome.reused_prefix + outcome.schedule.size() != live) fail("outcome size");
+  for (std::size_t i = 0; i < outcome.schedule.size(); ++i) {
+    const ScheduledTask& expected = reference.schedule[outcome.reused_prefix + i];
+    if (outcome.schedule[i].task != expected.task) fail("outcome task order");
+    if (!(outcome.schedule[i].plan == expected.plan)) fail("outcome plan equality");
   }
 }
 

@@ -36,10 +36,20 @@
 // O(Q*k + sqrt(N)*N), measured by session_memory()/peak_session_memory().
 //
 // Both drivers (sim::ClusterSimulator and svc::AdmissionShard) go through
-// the same two entries: admit() picks the test a rule gets, and
-// commit_plan() puts an accepted plan onto concrete nodes.
+// the same entries: admit() picks the test a rule gets, adopt_schedule()
+// takes an accepted outcome into the caller's waiting queue,
+// commit_plan() puts an accepted plan onto concrete nodes, and
+// recycle_plan() hands the committed plan's storage back.
+//
+// Plan storage is kept, never churned: rules plan into existing TaskPlan
+// slots (PartitionRule::plan's plan-into contract), the session recycles
+// replaced and consumed plan slots, the controller owns the outcome it
+// returns and copy-assigns its plans into kept capacity, adopt_schedule()
+// swaps plans between the outcome and the waiting queue, and every spare
+// plan lives in one controller pool. A warm arrival allocates nothing.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -59,7 +69,12 @@ struct ScheduledTask {
   TaskPlan plan;
 };
 
-/// Result of a schedulability test.
+/// Result of a schedulability test. The tests return a reference to an
+/// outcome their controller owns: it stays valid until the next
+/// admit/test/test_incremental call on that controller, which overwrites it
+/// in place (its plans' capacity is reused). A caller that needs it longer
+/// copies it; the simulator and the shard adopt its plans by swap
+/// (AdmissionController::adopt_schedule).
 struct AdmissionOutcome {
   bool accepted = false;
   dlt::Infeasibility reason = dlt::Infeasibility::kNone;  ///< why it failed
@@ -74,9 +89,10 @@ struct AdmissionOutcome {
 };
 
 /// Admission logic: combines an ordering policy (Decision #1) with a
-/// partition rule (Decisions #2 and #3). test() is stateless; the
-/// incremental session state only caches results derivable from the
-/// caller's inputs and never changes outcomes.
+/// partition rule (Decisions #2 and #3). test() is stateless (it only
+/// reuses the controller's storage); the incremental session state only
+/// caches results derivable from the caller's inputs and never changes
+/// outcomes.
 class AdmissionController {
  public:
   AdmissionController(Policy policy, const PartitionRule* rule);
@@ -100,12 +116,14 @@ class AdmissionController {
   /// speeds differ). Empty means free_times[i] belongs to node i. The pair
   /// columns are co-floored and co-sorted into the strict (time, id) order
   /// the het rules plan against.
-  AdmissionOutcome test(const workload::Task* new_task,
-                        const std::vector<const workload::Task*>& waiting,
-                        const cluster::ClusterParams& params,
-                        std::vector<Time> free_times, Time now,
-                        const cluster::NodeCalendar* calendar = nullptr,
-                        std::vector<cluster::NodeId> node_ids = {}) const;
+  ///
+  /// Returns the controller-owned outcome (see AdmissionOutcome).
+  AdmissionOutcome& test(const workload::Task* new_task,
+                         const std::vector<const workload::Task*>& waiting,
+                         const cluster::ClusterParams& params,
+                         const std::vector<Time>& free_times, Time now,
+                         const cluster::NodeCalendar* calendar = nullptr,
+                         const std::vector<cluster::NodeId>& node_ids = {});
 
   /// Incremental Figure-2 test for non-calendar rules (throws
   /// std::logic_error when rule().uses_calendar()).
@@ -118,22 +136,25 @@ class AdmissionController {
   /// Violating the contract cannot produce wrong schedules - the cache
   /// revalidates against the waiting list and the availability version and
   /// falls back to a full re-plan - it only costs speed.
-  AdmissionOutcome test_incremental(const workload::Task& new_task,
-                                    const std::vector<const workload::Task*>& waiting,
-                                    const cluster::ClusterParams& params,
-                                    const cluster::Cluster& cluster, Time now);
+  ///
+  /// Returns the controller-owned outcome (see AdmissionOutcome).
+  AdmissionOutcome& test_incremental(const workload::Task& new_task,
+                                     const std::vector<const workload::Task*>& waiting,
+                                     const cluster::ClusterParams& params,
+                                     const cluster::Cluster& cluster, Time now);
 
   /// The driver entry: runs the Figure-2 test for `task` the way its rule
   /// needs it. A non-null `calendar` (calendar rules) plans via test()
   /// against each node's max(now, end of its last reservation); otherwise
   /// `incremental` selects test_incremental(), and its absence test() over
   /// the cluster's floored availability (with owner ids when het).
-  AdmissionOutcome admit(const workload::Task& task,
-                         const std::vector<const workload::Task*>& waiting,
-                         const cluster::ClusterParams& params,
-                         const cluster::Cluster& cluster,
-                         const cluster::NodeCalendar* calendar, Time now,
-                         bool incremental);
+  /// Returns the controller-owned outcome (see AdmissionOutcome).
+  AdmissionOutcome& admit(const workload::Task& task,
+                          const std::vector<const workload::Task*>& waiting,
+                          const cluster::ClusterParams& params,
+                          const cluster::Cluster& cluster,
+                          const cluster::NodeCalendar* calendar, Time now,
+                          bool incremental);
 
   /// Informs the incremental session that `task` left the waiting queue by
   /// committing `plan`, with `cluster_version` the availability version
@@ -145,7 +166,41 @@ class AdmissionController {
   void on_commit(const workload::Task* task, const TaskPlan& plan,
                  std::uint64_t cluster_version);
 
-  /// Drops the incremental session state (e.g. at the start of a run).
+  /// Adopts accepted `outcome` (this controller's) into a caller's waiting
+  /// queue - policy order, `Entry` has `task` and `plan` members - by swap,
+  /// never by copy: entry reused_prefix + i takes schedule[i]'s plan and
+  /// hands its old plan back to the outcome, whose storage the next test
+  /// rewrites in place. The schedule covers the queue from reused_prefix on
+  /// plus the new task, so the queue grows by exactly one entry, which
+  /// starts from a pooled plan (see recycle_plan). `stamp(entry)` runs on
+  /// every adopted entry, in policy order.
+  template <typename Entry, typename Stamp>
+  void adopt_schedule(AdmissionOutcome& outcome, std::vector<Entry>& waiting,
+                      Stamp&& stamp) {
+    std::size_t pos = outcome.reused_prefix;
+    for (ScheduledTask& scheduled : outcome.schedule) {
+      if (pos == waiting.size()) {
+        waiting.emplace_back();
+        waiting.back().plan = take_spare_plan();
+      }
+      Entry& entry = waiting[pos++];
+      entry.task = scheduled.task;
+      std::swap(entry.plan, scheduled.plan);
+      fit_plan(scheduled.plan);
+      stamp(entry);
+    }
+    assert(pos == waiting.size() && "adopt_schedule: outcome does not cover the queue");
+  }
+
+  /// Takes back the storage of a plan that left the caller's waiting queue
+  /// (committed or cancelled) for a later adoption.
+  void recycle_plan(TaskPlan&& plan) {
+    fit_plan(plan);
+    spare_plans_.push_back(std::move(plan));
+  }
+
+  /// Drops the incremental session state (e.g. at the start of a run); kept
+  /// plan storage stays.
   void invalidate();
 
   /// Debug mode: every test_incremental() also runs the full stateless
@@ -173,11 +228,31 @@ class AdmissionController {
   void reset_session_stats() { peak_ = SessionMemory{}; }
 
  private:
+  /// test() into `out`: the cross-check runs its reference into an outcome
+  /// of its own so it never aliases the outcome it checks.
+  AdmissionOutcome& test_into(AdmissionOutcome& out, const workload::Task* new_task,
+                              const std::vector<const workload::Task*>& waiting,
+                              const cluster::ClusterParams& params,
+                              const std::vector<Time>& free_times, Time now,
+                              const cluster::NodeCalendar* calendar,
+                              const std::vector<cluster::NodeId>& node_ids);
+  /// Resets `out` to an empty rejection-free state with `n` schedule
+  /// entries. Surplus entries park their plans in spare_plans_ instead of
+  /// freeing them and missing ones start from a pooled plan, so the
+  /// outcome's plan capacity survives rejections and shorter schedules.
+  void reset_outcome(AdmissionOutcome& out, std::size_t n);
+  /// A plan from spare_plans_, or a fresh fitted one when the pool is empty.
+  TaskPlan take_spare_plan();
+  /// rule_->plan() into `slot`; a plan wider than any before grows every
+  /// kept plan (plan capacity invariant below).
+  dlt::Infeasibility plan_into(const PlanRequest& request, TaskPlan& slot);
+  /// Grows `plan`'s columns to the widest plan written so far.
+  void fit_plan(TaskPlan& plan);
   void verify_against_full(const workload::Task& new_task,
                            const std::vector<const workload::Task*>& waiting,
                            const cluster::ClusterParams& params,
                            const cluster::Cluster& cluster, Time now,
-                           const AdmissionOutcome& outcome) const;
+                           const AdmissionOutcome& outcome);
 
   Policy policy_;
   const PartitionRule* rule_;
@@ -204,13 +279,21 @@ class AdmissionController {
   // allocates nothing) and top_times_/top_ids_, the row at position
   // head_ + planned_. Any other row is rebuilt on demand by
   // materialize_row. synced_prefix_ counts the leading live entries whose
-  // plans the caller is known to hold verbatim.
+  // plans the caller is known to hold verbatim. Plans are recycled, never
+  // freed: on_commit() hands the consumed plan to spare_plans_ (slots below
+  // head_ are empty until compact_head() erases them), adoption overwrites
+  // the replaced suffix in place, invalidate() hands every plan to
+  // spare_plans_, and a slot past head_ + planned_ (left by a rejected
+  // extension) is reused by the next plan().
   struct Checkpoint {
     std::size_t pos = 0;
     std::vector<Time> times;
     std::vector<cluster::NodeId> ids;  ///< het sessions only
   };
 
+  /// Plan slot at absolute position `pos` <= plans_.size(), appended when
+  /// it is one past the end.
+  TaskPlan& plan_slot(std::size_t pos);
   std::size_t delta_start(std::size_t r) const {
     return r == 0 ? 0 : delta_end_[r - 1];
   }
@@ -248,7 +331,6 @@ class AdmissionController {
   std::vector<cluster::NodeId> free_ids_scratch_;
   std::vector<Time> work_state_;
   std::vector<cluster::NodeId> work_ids_;
-  std::vector<TaskPlan> scratch_plans_;
   std::vector<std::size_t> scratch_delta_end_;
   std::vector<Time> scratch_delta_times_;
   std::vector<cluster::NodeId> scratch_delta_ids_;
@@ -262,12 +344,28 @@ class AdmissionController {
   /// stays unscreened as the cross-check reference.
   het::QueueScreen screen_;
   std::vector<const workload::Task*> screen_tasks_;
-  /// apply_releases' merge buffer; mutable so the const (stateless) test()
-  /// reuses it too. Consistent with the single-thread affinity of the
-  /// controller (like the rules' plan scratch, one instance per simulator).
-  mutable std::vector<Time> merge_scratch_;
-  /// Het apply's (release, id) pair buffer, same mutability rationale.
-  mutable std::vector<std::pair<Time, cluster::NodeId>> het_merge_scratch_;
+  /// apply_releases' merge buffer, shared by test() and the session.
+  std::vector<Time> merge_scratch_;
+  /// Het apply's (release, id) pair buffer.
+  std::vector<std::pair<Time, cluster::NodeId>> het_merge_scratch_;
+  /// test()'s temp list and floored, sorted input columns.
+  std::vector<const workload::Task*> temp_list_;
+  std::vector<Time> temp_times_;
+  std::vector<cluster::NodeId> temp_ids_;
+  /// The outcome every test returns, and the spare-plan pool its schedule
+  /// and the callers' committed plans feed.
+  AdmissionOutcome outcome_;
+  std::vector<TaskPlan> spare_plans_;
+  /// Plan capacity invariant: every plan the controller holds (plans_, the
+  /// outcome, spare_plans_) has room for widest_plan_ core entries and
+  /// widest_ids_ node_ids/node_cps entries, at least the widest plan written
+  /// so far. Which slot gets which plan depends on the recycling history, so
+  /// without the invariant a slot would still grow whenever a plan wider
+  /// than its own past ones landed in it; with it, a workload that repeats
+  /// stops allocating after its first pass.
+  std::size_t widest_plan_ = 0;
+  std::size_t widest_ids_ = 0;
+  std::size_t plans_made_ = 0;  ///< plans take_spare_plan() ever created
 };
 
 /// Commits `plan` for `task` at time `at` and fills `ids` with the concrete

@@ -23,13 +23,13 @@ namespace {
 
 class OprMnBackfillRule final : public PartitionRule {
  public:
-  PlanResult plan(const PlanRequest& request) const override {
+  dlt::Infeasibility plan(const PlanRequest& request, TaskPlan& out) const override {
     detail::validate_request(request);
     if (request.calendar == nullptr) {
       throw std::invalid_argument("OprMnBackfillRule: PlanRequest::calendar required");
     }
     if (request.params.heterogeneous()) {
-      return het::plan_opr_mn_backfill(request, het_scratch_);
+      return het::plan_opr_mn_backfill(request, het_scratch_, out);
     }
     const workload::Task& task = *request.task;
     const cluster::NodeCalendar& calendar = *request.calendar;
@@ -40,11 +40,11 @@ class OprMnBackfillRule final : public PartitionRule {
           dlt::minimum_nodes(request.params, task.sigma(), deadline, t);
       if (!need.feasible()) {
         // Later candidates only shrink the slack further: hard stop.
-        return PlanResult::infeasible(need.reason);
+        return need.reason;
       }
       if (need.nodes > calendar.size()) {
         // n_min only grows with t: no later candidate can need fewer nodes.
-        return PlanResult::infeasible(dlt::Infeasibility::kNeedsMoreNodes);
+        return dlt::Infeasibility::kNeedsMoreNodes;
       }
       std::size_t m = need.nodes;
       double duration =
@@ -63,26 +63,26 @@ class OprMnBackfillRule final : public PartitionRule {
         duration = retry;
       }
 
-      // Are m nodes simultaneously free over [t, t + duration)?
-      std::vector<cluster::NodeId> nodes;
-      for (cluster::NodeId id = 0; id < calendar.size() && nodes.size() < m; ++id) {
-        if (calendar.is_free(id, t, t + duration)) nodes.push_back(id);
+      // Are m nodes simultaneously free over [t, t + duration)? Selected
+      // straight into the plan's id column (cleared per candidate).
+      out.node_ids.clear();
+      for (cluster::NodeId id = 0; id < calendar.size() && out.node_ids.size() < m; ++id) {
+        if (calendar.is_free(id, t, t + duration)) out.node_ids.push_back(id);
       }
-      if (nodes.size() < m) continue;  // this edge is too crowded; try the next
+      if (out.node_ids.size() < m) continue;  // this edge is too crowded; try the next
 
-      PlanResult result;
-      TaskPlan& plan = result.plan;
-      plan.task = task.id;
-      plan.nodes = m;
-      plan.available.assign(m, t);
-      plan.reserve_from.assign(m, t);
-      plan.node_release.assign(m, t + duration);
-      dlt::homogeneous_partition_into(request.params, m, plan.alpha);
-      plan.est_completion = t + duration;
-      plan.node_ids = std::move(nodes);
-      return result;
+      out.task = task.id;
+      out.nodes = m;
+      out.available.assign(m, t);
+      out.reserve_from.assign(m, t);
+      out.node_release.assign(m, t + duration);
+      dlt::homogeneous_partition_into(request.params, m, out.alpha);
+      out.est_completion = t + duration;
+      out.rounds = 1;
+      out.node_cps.clear();
+      return dlt::Infeasibility::kNone;
     }
-    return PlanResult::infeasible(dlt::Infeasibility::kNeedsMoreNodes);
+    return dlt::Infeasibility::kNeedsMoreNodes;
   }
 
   std::string_view name() const override { return "OPR-MN-BF"; }

@@ -15,28 +15,56 @@
 #include <vector>
 
 #include "dlt/het_model.hpp"
-#include "util/fp.hpp"
 #include "dlt/nmin.hpp"
 #include "sched/het_planner.hpp"
 #include "sched/rule_detail.hpp"
+#include "util/annotations.hpp"
+#include "util/fp.hpp"
 
 namespace rtdls::sched {
 
 namespace {
 
+/// Writes the IIT-utilizing plan over the first `assigned` availability
+/// slots into `out` (every field, see PartitionRule::plan); `part` is the
+/// rule's reused model scratch.
+RTDLS_HOT dlt::Infeasibility write_dlt_plan(const PlanRequest& request, std::size_t assigned,
+                                           dlt::HetPartition& part, TaskPlan& out) {
+  const workload::Task& task = *request.task;
+  // free_times is sorted, so the model builds straight from its prefix.
+  dlt::build_het_partition_into(request.params, task.sigma(), *request.free_times, assigned,
+                                part);
+  const Time est = part.estimated_completion();
+  if (fp::after(est, task.abs_deadline())) {
+    // Live under kOptimistic (the n nodes gathered too late); a
+    // floating-point guard under kIterative.
+    return dlt::Infeasibility::kNeedsMoreNodes;
+  }
+  out.task = task.id;
+  out.nodes = assigned;
+  out.available = part.available;
+  out.reserve_from = part.available;  // IITs utilized: start when free
+  out.node_release.assign(assigned, est);
+  out.alpha = part.alpha;
+  out.est_completion = est;
+  out.rounds = 1;
+  out.node_ids.clear();
+  out.node_cps.clear();
+  return dlt::Infeasibility::kNone;
+}
+
 class DltIitRule final : public PartitionRule {
  public:
   explicit DltIitRule(NodeSearch search) : search_(search) {}
 
-  PlanResult plan(const PlanRequest& request) const override {
+  dlt::Infeasibility plan(const PlanRequest& request, TaskPlan& out) const override {
     detail::validate_request(request);
-    if (request.params.heterogeneous()) return het::plan_dlt_iit(request, het_scratch_);
+    if (request.params.heterogeneous()) return het::plan_dlt_iit(request, het_scratch_, out);
     const workload::Task& task = *request.task;
     const std::vector<Time>& free_times = *request.free_times;
-    const Time deadline = task.abs_deadline();
 
-    auto [assigned, reason] =
-        detail::resolve_node_count(search_, request.params, task.sigma(), deadline, free_times);
+    auto [assigned, reason] = detail::resolve_node_count(search_, request.params, task.sigma(),
+                                                         task.abs_deadline(), free_times);
     if (reason == dlt::Infeasibility::kNeedsMoreNodes) {
       // n_min_tilde is only an UPPER bound for the IIT-utilizing execution
       // time E_hat <= E (Eq. 9). When the bound exceeds the cluster, the
@@ -47,30 +75,8 @@ class DltIitRule final : public PartitionRule {
       assigned = free_times.size();
       reason = dlt::Infeasibility::kNone;
     }
-    if (reason != dlt::Infeasibility::kNone) return PlanResult::infeasible(reason);
-
-    // free_times is sorted; the scratch partition avoids re-allocating the
-    // model vectors on every one of the admission loop's plan() calls.
-    dlt::build_het_partition_into(request.params, task.sigma(), free_times, assigned,
-                                  scratch_);
-    const dlt::HetPartition& part = scratch_;
-    const Time est = part.estimated_completion();
-    if (fp::after(est, deadline)) {
-      // Live under kOptimistic (the n nodes gathered too late); a
-      // floating-point guard under kIterative.
-      return PlanResult::infeasible(dlt::Infeasibility::kNeedsMoreNodes);
-    }
-
-    PlanResult result;
-    TaskPlan& plan = result.plan;
-    plan.task = task.id;
-    plan.nodes = assigned;
-    plan.available = part.available;
-    plan.reserve_from = part.available;  // IITs utilized: start when free
-    plan.node_release.assign(assigned, est);
-    plan.alpha = part.alpha;
-    plan.est_completion = est;
-    return result;
+    if (reason != dlt::Infeasibility::kNone) return reason;
+    return write_dlt_plan(request, assigned, scratch_, out);
   }
 
   std::string_view name() const override { return "DLT"; }
@@ -83,7 +89,8 @@ class DltIitRule final : public PartitionRule {
 
  private:
   NodeSearch search_;
-  /// Reused across plan() calls (see PartitionRule's thread-affinity note).
+  /// Reused across plan() calls (see PartitionRule's thread-affinity note):
+  /// the model vectors are not re-allocated on every admission-loop plan.
   mutable dlt::HetPartition scratch_;
   mutable het::PlannerScratch het_scratch_;
 };

@@ -187,7 +187,8 @@ std::pair<std::size_t, dlt::Infeasibility> first_feasible_prefix(
 
 }  // namespace
 
-PlanResult plan_dlt_iit(const PlanRequest& request, PlannerScratch& scratch) {
+dlt::Infeasibility plan_dlt_iit(const PlanRequest& request, PlannerScratch& scratch,
+                                TaskPlan& out) {
   const workload::Task& task = *request.task;
   const std::vector<Time>& free_times = *request.free_times;
   const double sigma = task.sigma();
@@ -204,24 +205,24 @@ PlanResult plan_dlt_iit(const PlanRequest& request, PlannerScratch& scratch) {
             scratch.batch.dlt_walk_estimate(free_times, scratch.cps, prefix);
         return accepted_est;
       });
-  if (reason != dlt::Infeasibility::kNone) return PlanResult::infeasible(reason);
+  if (reason != dlt::Infeasibility::kNone) return reason;
 
-  PlanResult result;
-  TaskPlan& plan = result.plan;
   const Time est = accepted_est;
-  plan.task = task.id;
-  plan.nodes = n;
-  plan.available.assign(free_times.begin(),
-                        free_times.begin() + static_cast<std::ptrdiff_t>(n));
-  plan.reserve_from = plan.available;  // IITs utilized
-  plan.node_release.assign(n, est);
-  scratch.batch.materialize_dlt_alpha(plan.alpha);
-  plan.est_completion = est;
-  pin_prefix(request, scratch, n, plan);
-  return result;
+  out.task = task.id;
+  out.nodes = n;
+  out.available.assign(free_times.begin(),
+                       free_times.begin() + static_cast<std::ptrdiff_t>(n));
+  out.reserve_from = out.available;  // IITs utilized
+  out.node_release.assign(n, est);
+  scratch.batch.materialize_dlt_alpha(out.alpha);
+  out.est_completion = est;
+  out.rounds = 1;
+  pin_prefix(request, scratch, n, out);
+  return dlt::Infeasibility::kNone;
 }
 
-PlanResult plan_opr_mn(const PlanRequest& request, PlannerScratch& scratch) {
+dlt::Infeasibility plan_opr_mn(const PlanRequest& request, PlannerScratch& scratch,
+                               TaskPlan& out) {
   const workload::Task& task = *request.task;
   const std::vector<Time>& free_times = *request.free_times;
   const double sigma = task.sigma();
@@ -236,7 +237,7 @@ PlanResult plan_opr_mn(const PlanRequest& request, PlannerScratch& scratch) {
       request, scratch, sigma, deadline, [&](std::size_t prefix) {
         return scratch.batch.opr_walk_estimate(free_times, scratch.cps, prefix);
       });
-  if (reason != dlt::Infeasibility::kNone) return PlanResult::infeasible(reason);
+  if (reason != dlt::Infeasibility::kNone) return reason;
 
   // Only the accepted prefix materializes its normalized alpha.
   scratch.batch.materialize_walk_alpha(scratch.alpha);
@@ -244,52 +245,50 @@ PlanResult plan_opr_mn(const PlanRequest& request, PlannerScratch& scratch) {
   const double exec =
       sigma * request.params.cms + scratch.alpha.back() * sigma * scratch.cps[n - 1];
   const Time est = rn + exec;
-  PlanResult result;
-  TaskPlan& plan = result.plan;
-  plan.task = task.id;
-  plan.nodes = n;
-  plan.available.assign(free_times.begin(),
-                        free_times.begin() + static_cast<std::ptrdiff_t>(n));
-  plan.reserve_from.assign(n, rn);  // simultaneous allocation: IITs wasted
-  plan.node_release.assign(n, est);
-  plan.alpha = scratch.alpha;
-  plan.est_completion = est;
-  pin_prefix(request, scratch, n, plan);
-  return result;
+  out.task = task.id;
+  out.nodes = n;
+  out.available.assign(free_times.begin(),
+                       free_times.begin() + static_cast<std::ptrdiff_t>(n));
+  out.reserve_from.assign(n, rn);  // simultaneous allocation: IITs wasted
+  out.node_release.assign(n, est);
+  out.alpha = scratch.alpha;
+  out.est_completion = est;
+  out.rounds = 1;
+  pin_prefix(request, scratch, n, out);
+  return dlt::Infeasibility::kNone;
 }
 
-PlanResult plan_opr_an(const PlanRequest& request, PlannerScratch& scratch) {
+dlt::Infeasibility plan_opr_an(const PlanRequest& request, PlannerScratch& scratch,
+                               TaskPlan& out) {
   const workload::Task& task = *request.task;
   const std::vector<Time>& free_times = *request.free_times;
   const double sigma = task.sigma();
   const Time deadline = task.abs_deadline();
   const std::size_t n = free_times.size();
   const Time rn = free_times.back();
-  if (deadline <= rn) return PlanResult::infeasible(dlt::Infeasibility::kDeadlinePassed);
+  if (deadline <= rn) return dlt::Infeasibility::kDeadlinePassed;
   gather_cps(request, scratch);
 
   dlt::general_het_alpha_into(request.params.cms, scratch.cps, n, scratch.alpha);
   const double exec =
       sigma * request.params.cms + scratch.alpha.back() * sigma * scratch.cps[n - 1];
   const Time est = rn + exec;
-  if (fp::after(est, deadline)) {
-    return PlanResult::infeasible(dlt::Infeasibility::kNeedsMoreNodes);
-  }
+  if (fp::after(est, deadline)) return dlt::Infeasibility::kNeedsMoreNodes;
 
-  PlanResult result;
-  TaskPlan& plan = result.plan;
-  plan.task = task.id;
-  plan.nodes = n;
-  plan.available = free_times;
-  plan.reserve_from.assign(n, rn);
-  plan.node_release.assign(n, est);
-  plan.alpha = scratch.alpha;
-  plan.est_completion = est;
-  pin_prefix(request, scratch, n, plan);
-  return result;
+  out.task = task.id;
+  out.nodes = n;
+  out.available = free_times;
+  out.reserve_from.assign(n, rn);
+  out.node_release.assign(n, est);
+  out.alpha = scratch.alpha;
+  out.est_completion = est;
+  out.rounds = 1;
+  pin_prefix(request, scratch, n, out);
+  return dlt::Infeasibility::kNone;
 }
 
-PlanResult plan_user_split(const PlanRequest& request, PlannerScratch& scratch) {
+dlt::Infeasibility plan_user_split(const PlanRequest& request, PlannerScratch& scratch,
+                                   TaskPlan& out) {
   const workload::Task& task = *request.task;
   const std::vector<Time>& free_times = *request.free_times;
   const double sigma = task.sigma();
@@ -302,30 +301,27 @@ PlanResult plan_user_split(const PlanRequest& request, PlannerScratch& scratch) 
   // channel once it is free, then computes at its own speed.
   const double chunk = sigma / static_cast<double>(n);
   const double tx = chunk * request.params.cms;
-  PlanResult result;
-  TaskPlan& plan = result.plan;
-  plan.node_release.resize(n);
+  out.node_release.resize(n);
   Time est = 0.0;
   Time channel_free = free_times[0];
   for (std::size_t i = 0; i < n; ++i) {
     const Time start = std::max(free_times[i], channel_free);
     channel_free = start + tx;
-    plan.node_release[i] = channel_free + chunk * scratch.cps[i];
-    est = std::max(est, plan.node_release[i]);
+    out.node_release[i] = channel_free + chunk * scratch.cps[i];
+    est = std::max(est, out.node_release[i]);
   }
-  if (fp::after(est, deadline)) {
-    return PlanResult::infeasible(dlt::Infeasibility::kNeedsMoreNodes);
-  }
+  if (fp::after(est, deadline)) return dlt::Infeasibility::kNeedsMoreNodes;
 
-  plan.task = task.id;
-  plan.nodes = n;
-  plan.available.assign(free_times.begin(),
-                        free_times.begin() + static_cast<std::ptrdiff_t>(n));
-  plan.reserve_from = plan.available;  // node held from its r_i
-  plan.alpha.assign(n, 1.0 / static_cast<double>(n));
-  plan.est_completion = est;
-  pin_prefix(request, scratch, n, plan);
-  return result;
+  out.task = task.id;
+  out.nodes = n;
+  out.available.assign(free_times.begin(),
+                       free_times.begin() + static_cast<std::ptrdiff_t>(n));
+  out.reserve_from = out.available;  // node held from its r_i
+  out.alpha.assign(n, 1.0 / static_cast<double>(n));
+  out.est_completion = est;
+  out.rounds = 1;
+  pin_prefix(request, scratch, n, out);
+  return dlt::Infeasibility::kNone;
 }
 
 Time HetMultiRoundRollout::task_completion() const {
@@ -382,45 +378,38 @@ void roll_multiround(const cluster::ClusterParams& params, double sigma,
   out.channel_busy_until = channel_free;
 }
 
-PlanResult plan_multiround(const PlanRequest& request, std::size_t rounds,
-                           PlannerScratch& scratch) {
+dlt::Infeasibility plan_multiround(const PlanRequest& request, std::size_t rounds,
+                                   PlannerScratch& scratch, TaskPlan& out) {
   // Resolve the node count through the single-round het scan: its accepted
-  // plan doubles as the guaranteed-feasible fallback.
-  PlanResult single = plan_dlt_iit(request, scratch);
-  if (!single.feasible()) return single;
+  // plan doubles as the guaranteed-feasible fallback, and its slots
+  // (available, reserve_from, node_ids, node_cps) are the multi-round
+  // plan's too.
+  const dlt::Infeasibility reason = plan_dlt_iit(request, scratch, out);
+  if (reason != dlt::Infeasibility::kNone) return reason;
   const workload::Task& task = *request.task;
-  const std::size_t n = single.plan.nodes;
 
   HetMultiRoundRollout rollout;
-  roll_multiround(request.params, task.sigma(), single.plan.available,
-                  single.plan.node_cps, rounds, 0.0, scratch, rollout,
-                  &scratch.slot_alpha);
+  roll_multiround(request.params, task.sigma(), out.available, out.node_cps, rounds, 0.0,
+                  scratch, rollout, &scratch.slot_alpha);
   const Time est = rollout.task_completion();
   if (fp::after(est, task.abs_deadline())) {
     // R installments happened to be slower here; keep the single-round plan.
-    return single;
+    return reason;
   }
 
-  PlanResult result;
-  TaskPlan& plan = result.plan;
-  plan.task = task.id;
-  plan.nodes = n;
-  plan.available = single.plan.available;
-  plan.reserve_from = single.plan.available;
   // Exact per-slot finish of each node's last installment. Unlike the
   // homogeneous MR rule these are NOT sorted: slot identity must survive so
   // each node's release carries its own speed (the het availability merge
   // re-sorts (release, id) pairs itself).
-  plan.node_release = rollout.completion;
-  plan.alpha = scratch.slot_alpha;
-  plan.est_completion = est;
-  plan.rounds = rounds;
-  plan.node_ids = single.plan.node_ids;
-  plan.node_cps = single.plan.node_cps;
-  return result;
+  out.node_release = rollout.completion;
+  out.alpha = scratch.slot_alpha;
+  out.est_completion = est;
+  out.rounds = rounds;
+  return reason;
 }
 
-PlanResult plan_opr_mn_backfill(const PlanRequest& request, PlannerScratch& scratch) {
+dlt::Infeasibility plan_opr_mn_backfill(const PlanRequest& request, PlannerScratch& scratch,
+                                        TaskPlan& out) {
   if (request.calendar == nullptr) {
     throw std::invalid_argument("plan_opr_mn_backfill: PlanRequest::calendar required");
   }
@@ -432,7 +421,7 @@ PlanResult plan_opr_mn_backfill(const PlanRequest& request, PlannerScratch& scra
 
   for (Time t : calendar.candidate_times(request.now)) {
     const dlt::Infeasibility hard = hard_reject(sigma, request.params.cms, deadline, t);
-    if (hard != dlt::Infeasibility::kNone) return PlanResult::infeasible(hard);
+    if (hard != dlt::Infeasibility::kNone) return hard;
 
     // Every fixed point starts from a zero-length window, whose selection is
     // simply the m lowest ids free at the instant t - and the (m+1)-node
@@ -546,21 +535,20 @@ PlanResult plan_opr_mn_backfill(const PlanRequest& request, PlannerScratch& scra
       // Only the accepted selection materializes its normalized alpha.
       dlt::general_het_alpha_into(request.params.cms, scratch.window_cps, m,
                                   scratch.alpha);
-      PlanResult result;
-      TaskPlan& plan = result.plan;
-      plan.task = task.id;
-      plan.nodes = m;
-      plan.available.assign(m, t);
-      plan.reserve_from.assign(m, t);
-      plan.node_release.assign(m, t + duration);
-      plan.alpha = scratch.alpha;
-      plan.est_completion = t + duration;
-      plan.node_ids = scratch.window_nodes;
-      plan.node_cps = scratch.window_cps;
-      return result;
+      out.task = task.id;
+      out.nodes = m;
+      out.available.assign(m, t);
+      out.reserve_from.assign(m, t);
+      out.node_release.assign(m, t + duration);
+      out.alpha = scratch.alpha;
+      out.est_completion = t + duration;
+      out.rounds = 1;
+      out.node_ids = scratch.window_nodes;
+      out.node_cps = scratch.window_cps;
+      return dlt::Infeasibility::kNone;
     }
   }
-  return PlanResult::infeasible(dlt::Infeasibility::kNeedsMoreNodes);
+  return dlt::Infeasibility::kNeedsMoreNodes;
 }
 
 }  // namespace rtdls::sched::het

@@ -75,28 +75,36 @@ struct PlannerScratch {
   std::vector<double> instant_cps;
 };
 
+// Every entry point follows PartitionRule::plan's plan-into contract: on
+// kNone it has written every field of `out` (capacity kept), otherwise
+// `out` is unspecified.
+
 /// EDF/FIFO-DLT: IIT-utilizing partition on the generalized equivalent
 /// model; smallest availability-ordered prefix whose r_n + E_hat meets the
 /// deadline.
-PlanResult plan_dlt_iit(const PlanRequest& request, PlannerScratch& scratch);
+dlt::Infeasibility plan_dlt_iit(const PlanRequest& request, PlannerScratch& scratch,
+                                TaskPlan& out);
 
 /// OPR-MN: simultaneous allocation at r_n with the het-optimal partition
 /// over actual speeds; smallest feasible prefix.
-PlanResult plan_opr_mn(const PlanRequest& request, PlannerScratch& scratch);
+dlt::Infeasibility plan_opr_mn(const PlanRequest& request, PlannerScratch& scratch,
+                               TaskPlan& out);
 
 /// OPR-AN: the whole cluster at r_N.
-PlanResult plan_opr_an(const PlanRequest& request, PlannerScratch& scratch);
+dlt::Infeasibility plan_opr_an(const PlanRequest& request, PlannerScratch& scratch,
+                               TaskPlan& out);
 
 /// UserSplit: equal chunks over the user's node count, each node computing
 /// at its actual speed (exact rolled-out completion per node).
-PlanResult plan_user_split(const PlanRequest& request, PlannerScratch& scratch);
+dlt::Infeasibility plan_user_split(const PlanRequest& request, PlannerScratch& scratch,
+                                   TaskPlan& out);
 
 /// Multi-round: node count from the single-round het scan (so a feasible
 /// single-round fallback exists), then `rounds` uniform installments each
 /// het-partitioned against the slots' evolving availability; falls back to
 /// the single-round plan when the installments happen to finish later.
-PlanResult plan_multiround(const PlanRequest& request, std::size_t rounds,
-                           PlannerScratch& scratch);
+dlt::Infeasibility plan_multiround(const PlanRequest& request, std::size_t rounds,
+                                   PlannerScratch& scratch, TaskPlan& out);
 
 /// OPR-MN-BF: conservative backfilling with het durations. At each calendar
 /// candidate time t, node sets are grown one node at a time (lowest ids
@@ -105,7 +113,8 @@ PlanResult plan_multiround(const PlanRequest& request, std::size_t rounds,
 /// a short fixed-point iteration because the duration depends on which
 /// nodes fit it. A set is accepted once every member is free across the
 /// computed window and the window meets the deadline.
-PlanResult plan_opr_mn_backfill(const PlanRequest& request, PlannerScratch& scratch);
+dlt::Infeasibility plan_opr_mn_backfill(const PlanRequest& request, PlannerScratch& scratch,
+                                        TaskPlan& out);
 
 /// Exact rolled-out multi-installment timeline on heterogeneous slots
 /// (shared by plan_multiround and the simulator's shared-link re-roll).

@@ -25,10 +25,10 @@ class MultiRoundRule final : public PartitionRule {
         fallback_(make_dlt_iit_rule()),
         name_("MR" + std::to_string(rounds == 0 ? 1 : rounds)) {}
 
-  PlanResult plan(const PlanRequest& request) const override {
+  dlt::Infeasibility plan(const PlanRequest& request, TaskPlan& out) const override {
     detail::validate_request(request);
     if (request.params.heterogeneous()) {
-      return het::plan_multiround(request, rounds_, het_scratch_);
+      return het::plan_multiround(request, rounds_, het_scratch_, out);
     }
     const workload::Task& task = *request.task;
     const std::vector<Time>& free_times = *request.free_times;
@@ -38,7 +38,7 @@ class MultiRoundRule final : public PartitionRule {
     // resolver gallops on the sorted availability instead of scanning.
     const auto [assigned, reason] = detail::resolve_node_count(
         NodeSearch::kIterative, request.params, task.sigma(), deadline, free_times);
-    if (reason != dlt::Infeasibility::kNone) return PlanResult::infeasible(reason);
+    if (reason != dlt::Infeasibility::kNone) return reason;
 
     std::vector<Time> available(free_times.begin(),
                                 free_times.begin() + static_cast<std::ptrdiff_t>(assigned));
@@ -48,32 +48,32 @@ class MultiRoundRule final : public PartitionRule {
     if (fp::after(est, deadline)) {
       // R installments happened to be slower here; the single-round plan
       // is guaranteed feasible with this node count.
-      return fallback_->plan(request);
+      return fallback_->plan(request, out);
     }
 
-    PlanResult result;
-    TaskPlan& plan = result.plan;
-    plan.task = task.id;
-    plan.nodes = assigned;
-    plan.available = schedule.initial_available;
-    plan.reserve_from = schedule.initial_available;
+    out.task = task.id;
+    out.nodes = assigned;
+    out.available = schedule.initial_available;
+    out.reserve_from = schedule.initial_available;
     // Exact per-node finishes. Rounds may permute node identity (each
     // installment re-sorts by availability), so pair the sorted release
     // multiset with the sorted availability: since every node finishes no
     // earlier than it became available, order statistics keep
     // node_release[i] >= available[i].
-    plan.node_release = schedule.node_completion;
-    std::sort(plan.node_release.begin(), plan.node_release.end());
+    out.node_release = schedule.node_completion;
+    std::sort(out.node_release.begin(), out.node_release.end());
     // Aggregate per-node fraction across installments (for reporting).
-    plan.alpha.assign(assigned, 0.0);
+    out.alpha.assign(assigned, 0.0);
     for (const dlt::RoundPlan& round : schedule.rounds) {
       for (std::size_t i = 0; i < assigned; ++i) {
-        plan.alpha[i] += round.alpha[i] / static_cast<double>(schedule.rounds.size());
+        out.alpha[i] += round.alpha[i] / static_cast<double>(schedule.rounds.size());
       }
     }
-    plan.est_completion = est;
-    plan.rounds = rounds_;
-    return result;
+    out.est_completion = est;
+    out.rounds = rounds_;
+    out.node_ids.clear();
+    out.node_cps.clear();
+    return dlt::Infeasibility::kNone;
   }
 
   std::string_view name() const override { return name_; }

@@ -12,55 +12,57 @@
 #include <vector>
 
 #include "dlt/homogeneous.hpp"
-#include "util/fp.hpp"
 #include "dlt/nmin.hpp"
 #include "sched/het_planner.hpp"
 #include "sched/rule_detail.hpp"
+#include "util/annotations.hpp"
+#include "util/fp.hpp"
 
 namespace rtdls::sched {
 
 namespace {
 
-/// Fills the OPR plan: all `assigned` nodes reserved from r_n to est.
-TaskPlan make_opr_plan(const PlanRequest& request, std::size_t assigned, Time rn) {
+/// Writes the OPR plan into `out` (every field, see PartitionRule::plan):
+/// all `assigned` nodes reserved from r_n to the estimate, which must meet
+/// the deadline.
+RTDLS_HOT dlt::Infeasibility make_opr_plan(const PlanRequest& request, std::size_t assigned,
+                                          Time rn, TaskPlan& out) {
   const workload::Task& task = *request.task;
   const std::vector<Time>& free_times = *request.free_times;
   const Time est = rn + dlt::homogeneous_execution_time(request.params, task.sigma(),
                                                         assigned);
-  TaskPlan plan;
-  plan.task = task.id;
-  plan.nodes = assigned;
-  plan.available.assign(free_times.begin(),
-                        free_times.begin() + static_cast<std::ptrdiff_t>(assigned));
-  plan.reserve_from.assign(assigned, rn);  // simultaneous allocation: IITs wasted
-  plan.node_release.assign(assigned, est);
-  dlt::homogeneous_partition_into(request.params, assigned, plan.alpha);
-  plan.est_completion = est;
-  return plan;
+  if (fp::after(est, task.abs_deadline())) {
+    // Live under kOptimistic; floating-point guard under kIterative.
+    return dlt::Infeasibility::kNeedsMoreNodes;
+  }
+  out.task = task.id;
+  out.nodes = assigned;
+  out.available.assign(free_times.begin(),
+                       free_times.begin() + static_cast<std::ptrdiff_t>(assigned));
+  out.reserve_from.assign(assigned, rn);  // simultaneous allocation: IITs wasted
+  out.node_release.assign(assigned, est);
+  dlt::homogeneous_partition_into(request.params, assigned, out.alpha);
+  out.est_completion = est;
+  out.rounds = 1;
+  out.node_ids.clear();
+  out.node_cps.clear();
+  return dlt::Infeasibility::kNone;
 }
 
 class OprMnRule final : public PartitionRule {
  public:
   explicit OprMnRule(NodeSearch search) : search_(search) {}
 
-  PlanResult plan(const PlanRequest& request) const override {
+  dlt::Infeasibility plan(const PlanRequest& request, TaskPlan& out) const override {
     detail::validate_request(request);
-    if (request.params.heterogeneous()) return het::plan_opr_mn(request, het_scratch_);
+    if (request.params.heterogeneous()) return het::plan_opr_mn(request, het_scratch_, out);
     const workload::Task& task = *request.task;
     const std::vector<Time>& free_times = *request.free_times;
-    const Time deadline = task.abs_deadline();
 
-    const auto [assigned, reason] =
-        detail::resolve_node_count(search_, request.params, task.sigma(), deadline, free_times);
-    if (reason != dlt::Infeasibility::kNone) return PlanResult::infeasible(reason);
-
-    PlanResult result;
-    result.plan = make_opr_plan(request, assigned, free_times[assigned - 1]);
-    if (fp::after(result.plan.est_completion, deadline)) {
-      // Live under kOptimistic; floating-point guard under kIterative.
-      return PlanResult::infeasible(dlt::Infeasibility::kNeedsMoreNodes);
-    }
-    return result;
+    const auto [assigned, reason] = detail::resolve_node_count(
+        search_, request.params, task.sigma(), task.abs_deadline(), free_times);
+    if (reason != dlt::Infeasibility::kNone) return reason;
+    return make_opr_plan(request, assigned, free_times[assigned - 1], out);
   }
 
   std::string_view name() const override { return "OPR-MN"; }
@@ -76,23 +78,13 @@ class OprMnRule final : public PartitionRule {
 
 class OprAnRule final : public PartitionRule {
  public:
-  PlanResult plan(const PlanRequest& request) const override {
+  dlt::Infeasibility plan(const PlanRequest& request, TaskPlan& out) const override {
     detail::validate_request(request);
-    if (request.params.heterogeneous()) return het::plan_opr_an(request, het_scratch_);
-    const workload::Task& task = *request.task;
+    if (request.params.heterogeneous()) return het::plan_opr_an(request, het_scratch_, out);
     const std::vector<Time>& free_times = *request.free_times;
-    const std::size_t n = free_times.size();
     const Time rn = free_times.back();
-    const Time deadline = task.abs_deadline();
-
-    if (deadline <= rn) return PlanResult::infeasible(dlt::Infeasibility::kDeadlinePassed);
-
-    PlanResult result;
-    result.plan = make_opr_plan(request, n, rn);
-    if (fp::after(result.plan.est_completion, deadline)) {
-      return PlanResult::infeasible(dlt::Infeasibility::kNeedsMoreNodes);
-    }
-    return result;
+    if (request.task->abs_deadline() <= rn) return dlt::Infeasibility::kDeadlinePassed;
+    return make_opr_plan(request, free_times.size(), rn, out);
   }
 
   std::string_view name() const override { return "OPR-AN"; }

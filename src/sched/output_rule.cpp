@@ -25,7 +25,7 @@ class OutputAwareRule final : public PartitionRule {
     }
   }
 
-  PlanResult plan(const PlanRequest& request) const override {
+  dlt::Infeasibility plan(const PlanRequest& request, TaskPlan& out) const override {
     detail::validate_request(request);
     const workload::Task& task = *request.task;
     const double result_time =
@@ -37,23 +37,22 @@ class OutputAwareRule final : public PartitionRule {
     workload::Task input_task = task;
     input_task.spec.rel_deadline = task.rel_deadline() - result_time;
     if (input_task.spec.rel_deadline <= 0.0) {
-      return PlanResult::infeasible(dlt::Infeasibility::kTransmissionTooLong);
+      return dlt::Infeasibility::kTransmissionTooLong;
     }
 
     PlanRequest input_request = request;
     input_request.task = &input_task;
-    PlanResult result = inner_->plan(input_request);
-    if (!result.feasible()) return result;
+    const dlt::Infeasibility reason = inner_->plan(input_request, out);
+    if (reason != dlt::Infeasibility::kNone) return reason;
 
-    TaskPlan& plan = result.plan;
-    plan.task = task.id;
-    plan.est_completion += result_time;
+    out.task = task.id;
+    out.est_completion += result_time;
     // Conservative hold: the result-return order across nodes is not fixed
     // at planning time, so every node is held until the full bound.
-    for (Time& release : plan.node_release) {
-      release = std::max(release, plan.est_completion);
+    for (Time& release : out.node_release) {
+      release = std::max(release, out.est_completion);
     }
-    return result;
+    return reason;
   }
 
   std::string_view name() const override { return name_; }

@@ -40,20 +40,6 @@ struct PlanRequest {
   const cluster::NodeCalendar* calendar = nullptr;
 };
 
-/// Outcome of planning one task.
-struct PlanResult {
-  dlt::Infeasibility reason = dlt::Infeasibility::kNone;
-  TaskPlan plan;
-
-  bool feasible() const { return reason == dlt::Infeasibility::kNone; }
-
-  static PlanResult infeasible(dlt::Infeasibility why) {
-    PlanResult result;
-    result.reason = why;
-    return result;
-  }
-};
-
 /// Planner-internal event counters a rule may expose (collected into
 /// SimMetrics per run and mirrored to the obs registry; see Simulator::run).
 /// Plain fields, not obs handles: the bump sites are inside RTDLS_HOT
@@ -94,9 +80,18 @@ class PartitionRule {
  public:
   virtual ~PartitionRule() = default;
 
-  /// Plans `request.task` against the availability snapshot; returns an
-  /// infeasibility reason when no assignment meets the deadline.
-  virtual PlanResult plan(const PlanRequest& request) const = 0;
+  /// Plans `request.task` against the availability snapshot into `out`, or
+  /// returns the infeasibility reason when no assignment meets the deadline.
+  ///
+  /// Plan-into contract: `out` is caller-owned storage that may still hold
+  /// an earlier, differently shaped plan (other rule, width, round count,
+  /// het identity columns). On kNone the rule has written EVERY TaskPlan
+  /// field - vectors through assign/clear/copy-assignment, so their
+  /// capacity is kept and a warm slot plans without allocating; a field the
+  /// plan does not use is cleared (node_ids/node_cps of a homogeneous plan)
+  /// or reset (rounds = 1), never left over. On any other reason the
+  /// contents of `out` are unspecified and the caller adopts nothing.
+  virtual dlt::Infeasibility plan(const PlanRequest& request, TaskPlan& out) const = 0;
 
   /// Short rule name used in algorithm identifiers ("DLT", "OPR-MN", ...).
   virtual std::string_view name() const = 0;

@@ -172,50 +172,37 @@ void ClusterSimulator::handle_arrival(const workload::Task& task) {
   waiting_view_.clear();
   for (const WaitingEntry& entry : waiting_) waiting_view_.push_back(entry.task);
 
-  sched::AdmissionOutcome outcome;
+  sched::AdmissionOutcome* outcome = nullptr;
   {
     RTDLS_TRACE_SCOPE("sim.admit_test", "sim");
-    outcome = controller_.admit(task, waiting_view_, config_.params, cluster_,
-                                calendar_ ? &*calendar_ : nullptr, now,
-                                config_.incremental_admission);
+    outcome = &controller_.admit(task, waiting_view_, config_.params, cluster_,
+                                 calendar_ ? &*calendar_ : nullptr, now,
+                                 config_.incremental_admission);
   }
 
-  if (!outcome.accepted) {
+  if (!outcome->accepted) {
     ++metrics_.rejected;
-    ++metrics_.reject_reasons[static_cast<std::size_t>(outcome.reason)];
+    ++metrics_.reject_reasons[static_cast<std::size_t>(outcome->reason)];
     RTDLS_LOG(kDebug) << "t=" << now << " reject task " << task.id << " ("
-                      << dlt::infeasibility_name(outcome.reason) << ")";
+                      << dlt::infeasibility_name(outcome->reason) << ")";
     return;
   }
 
   ++metrics_.accepted;
-  adopt_schedule(outcome.reused_prefix, outcome.schedule);
+  // The leading reused_prefix entries' plans are unchanged, so their
+  // versions - and the commit events already queued for them - stay valid.
+  // Every replaced entry gets a fresh version so commit events for
+  // superseded plans are ignored; the schedule arrives in policy order,
+  // preserving the waiting queue's ordering invariant.
+  controller_.adopt_schedule(*outcome, waiting_, [this](WaitingEntry& entry) {
+    entry.version = next_version_++;
+    const Time commit_at = std::max(entry.plan.commit_time(), now_);
+    queue_.push(commit_at, EventPriority::kCommit,
+                CommitEvent{sched::policy_key(*entry.task), entry.version});
+  });
   // The waiting entry (and possibly the admission session) now hold this
   // task's pointer; pin its chunk until the commit retires it.
   source_->on_task_admitted(&task);
-}
-
-void ClusterSimulator::adopt_schedule(std::size_t reused_prefix,
-                                      std::vector<sched::ScheduledTask>& schedule) {
-  // Replace the waiting suffix with the accepted temp schedule (the leading
-  // `reused_prefix` entries' plans are unchanged, so their versions - and
-  // the commit events already queued for them - stay valid). Every replaced
-  // entry gets a fresh version so commit events for superseded plans are
-  // ignored. The schedule arrives in policy order, preserving the waiting
-  // queue's ordering invariant.
-  waiting_.erase(waiting_.begin() + static_cast<std::ptrdiff_t>(reused_prefix),
-                 waiting_.end());
-  waiting_.reserve(reused_prefix + schedule.size());
-  for (sched::ScheduledTask& scheduled : schedule) {
-    WaitingEntry entry;
-    entry.task = scheduled.task;
-    entry.plan = std::move(scheduled.plan);
-    entry.version = next_version_++;
-    const Time commit_at = std::max(entry.plan.commit_time(), now_);
-    const CommitEvent event{sched::policy_key(*entry.task), entry.version};
-    waiting_.push_back(std::move(entry));
-    queue_.push(commit_at, EventPriority::kCommit, event);
-  }
 }
 
 void ClusterSimulator::handle_commit(const CommitEvent& event) {
@@ -247,6 +234,7 @@ void ClusterSimulator::handle_commit(const CommitEvent& event) {
   // this pointer's last dereference was the session advance above, so a
   // streaming source may now recycle its chunk.
   source_->on_task_retired(entry.task);
+  controller_.recycle_plan(std::move(entry.plan));
 }
 
 bool ClusterSimulator::commit_task(Time now, const WaitingEntry& entry) {

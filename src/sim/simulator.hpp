@@ -12,8 +12,9 @@
 // waiting); committed tasks are immutable. Commit events are versioned so a
 // re-plan invalidates stale commitments in the event queue.
 //
-// Engine notes: test selection and plan commit go through the admission
-// core shared with svc::AdmissionShard (AdmissionController::admit and
+// Engine notes: test selection, schedule adoption and plan commit go
+// through the admission core shared with svc::AdmissionShard
+// (AdmissionController::admit/adopt_schedule/recycle_plan and
 // sched::commit_plan, see sched/admission.hpp); the simulator adds the event
 // loop, rollout, early release, metrics and the ScheduleLog. The waiting
 // queue is kept in policy order so the controller's incremental mode can
@@ -133,8 +134,6 @@ class ClusterSimulator {
   /// task just committed (ids_scratch_, rolled out in timeline_), adding
   /// the index work to the task's `depth`.
   void release_unused_tails(const sched::TaskPlan& plan, cluster::CommitDepth& depth);
-  void adopt_schedule(std::size_t reused_prefix,
-                      std::vector<sched::ScheduledTask>& schedule);
 
   SimulatorConfig config_;
   const sched::Algorithm* algorithm_;

@@ -67,22 +67,9 @@ void AdmissionShard::commit_entry(std::size_t index) {
   }
   ++committed_;
   // The session never dereferences consumed-prefix task pointers, so the
-  // committed task's storage can go now.
+  // committed task's storage can go now; its plan storage is reused.
   tasks_.erase(entry.task->id);
-}
-
-void AdmissionShard::adopt_schedule(std::size_t reused_prefix,
-                                    std::vector<sched::ScheduledTask>& schedule) {
-  waiting_.erase(waiting_.begin() + static_cast<std::ptrdiff_t>(reused_prefix),
-                 waiting_.end());
-  waiting_.reserve(reused_prefix + schedule.size());
-  for (sched::ScheduledTask& scheduled : schedule) {
-    WaitingEntry entry;
-    entry.task = scheduled.task;
-    entry.plan = std::move(scheduled.plan);
-    entry.commit_at = std::max(entry.plan.commit_time(), now_);
-    waiting_.push_back(std::move(entry));
-  }
+  controller_.recycle_plan(std::move(entry.plan));
 }
 
 AdmitReply AdmissionShard::admit(const TaskRecord& record) {
@@ -102,7 +89,7 @@ AdmitReply AdmissionShard::admit(const TaskRecord& record) {
   waiting_view_.clear();
   for (const WaitingEntry& entry : waiting_) waiting_view_.push_back(entry.task);
 
-  sched::AdmissionOutcome outcome =
+  sched::AdmissionOutcome& outcome =
       controller_.admit(task, waiting_view_, config_.params, cluster_, calendar_.get(),
                         now_, config_.incremental);
 
@@ -111,7 +98,9 @@ AdmitReply AdmissionShard::admit(const TaskRecord& record) {
   reply.decision_seq = seq_++;
   if (outcome.accepted) {
     ++accepted_;
-    adopt_schedule(outcome.reused_prefix, outcome.schedule);
+    controller_.adopt_schedule(outcome, waiting_, [this](WaitingEntry& entry) {
+      entry.commit_at = std::max(entry.plan.commit_time(), now_);
+    });
     for (const WaitingEntry& entry : waiting_) {
       if (entry.task->id == record.id) {
         reply.est_completion = entry.plan.est_completion;
@@ -174,6 +163,7 @@ CancelReply AdmissionShard::cancel(cluster::TaskId id) {
   // Load only shrinks, so every remaining plan stays feasible (the Figure-2
   // invariant); but the waiting set changed outside the session contract, so
   // the warm cache drops.
+  controller_.recycle_plan(std::move(it->plan));
   waiting_.erase(it);
   controller_.invalidate();
   tasks_.erase(id);

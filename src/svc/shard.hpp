@@ -1,9 +1,10 @@
 // One admission shard: a warm, single-threaded admission-control session
 // over its own cluster.
 //
-// Test selection and plan commit are the admission core shared with
-// sim::ClusterSimulator (AdmissionController::admit and sched::commit_plan,
-// see sched/admission.hpp); the shard adds its clock, op log and counters.
+// Test selection, schedule adoption and plan commit are the admission core
+// shared with sim::ClusterSimulator (AdmissionController::admit/
+// adopt_schedule/recycle_plan and sched::commit_plan, see
+// sched/admission.hpp); the shard adds its clock, op log and counters.
 //
 // The daemon partitions work by cluster - each shard owns an independent
 // Cluster, a warm AdmissionController session, and a waiting queue, and is
@@ -122,8 +123,6 @@ class AdmissionShard {
   /// entries were committed.
   std::size_t advance_to(cluster::Time t);
   void commit_entry(std::size_t index);
-  void adopt_schedule(std::size_t reused_prefix,
-                      std::vector<sched::ScheduledTask>& schedule);
 
   ShardConfig config_;
   sched::Algorithm algorithm_;

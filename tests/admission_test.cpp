@@ -29,7 +29,7 @@ TEST(Admission, SingleTaskAccepted) {
   const auto rule = make_dlt_iit_rule();
   AdmissionController controller(Policy::kEdf, rule.get());
   const workload::Task task = make_task(1, 0.0, 200.0, 3000.0);
-  const AdmissionOutcome outcome =
+  const AdmissionOutcome& outcome =
       controller.test(&task, {}, paper_params(), idle_cluster(), 0.0);
   ASSERT_TRUE(outcome.accepted);
   ASSERT_EQ(outcome.schedule.size(), 1u);
@@ -41,7 +41,7 @@ TEST(Admission, ImpossibleTaskRejectedWithReason) {
   const auto rule = make_dlt_iit_rule();
   AdmissionController controller(Policy::kEdf, rule.get());
   const workload::Task task = make_task(1, 0.0, 200.0, 150.0);  // < sigma*Cms
-  const AdmissionOutcome outcome =
+  const AdmissionOutcome& outcome =
       controller.test(&task, {}, paper_params(), idle_cluster(), 0.0);
   EXPECT_FALSE(outcome.accepted);
   EXPECT_EQ(outcome.reason, dlt::Infeasibility::kTransmissionTooLong);
@@ -56,7 +56,7 @@ TEST(Admission, FreeTimePropagationSerializesBigTasks) {
   AdmissionController controller(Policy::kFifo, rule.get());
   const workload::Task first = make_task(1, 0.0, 200.0, 1500.0);   // needs ~16 nodes
   const workload::Task second = make_task(2, 0.0, 200.0, 30000.0);
-  const AdmissionOutcome outcome =
+  const AdmissionOutcome& outcome =
       controller.test(&second, {&first}, paper_params(), idle_cluster(), 0.0);
   ASSERT_TRUE(outcome.accepted);
   ASSERT_EQ(outcome.schedule.size(), 2u);
@@ -75,7 +75,7 @@ TEST(Admission, EdfReordersQueue) {
   // EDF the new task is planned first even though it arrived later.
   const workload::Task waiting = make_task(1, 0.0, 200.0, 50000.0);
   const workload::Task urgent = make_task(2, 10.0, 200.0, 2000.0);
-  const AdmissionOutcome outcome =
+  const AdmissionOutcome& outcome =
       controller.test(&urgent, {&waiting}, paper_params(), idle_cluster(), 10.0);
   ASSERT_TRUE(outcome.accepted);
   ASSERT_EQ(outcome.schedule.size(), 2u);
@@ -88,7 +88,7 @@ TEST(Admission, FifoKeepsArrivalOrder) {
   AdmissionController controller(Policy::kFifo, rule.get());
   const workload::Task waiting = make_task(1, 0.0, 200.0, 50000.0);
   const workload::Task urgent = make_task(2, 10.0, 200.0, 2500.0);
-  const AdmissionOutcome outcome =
+  const AdmissionOutcome& outcome =
       controller.test(&urgent, {&waiting}, paper_params(), idle_cluster(), 10.0);
   ASSERT_TRUE(outcome.accepted);
   EXPECT_EQ(outcome.schedule[0].task->id, 1u);
@@ -99,13 +99,13 @@ TEST(Admission, NewTaskRejectedWhenItWouldBreakAdmittedTask) {
   AdmissionController controller(Policy::kEdf, rule.get());
   // Admitted task with a deadline that only just works on the idle cluster.
   const workload::Task admitted = make_task(1, 0.0, 200.0, 1400.0);  // ~E(200,16)
-  const AdmissionOutcome alone =
+  const AdmissionOutcome& alone =
       controller.test(&admitted, {}, paper_params(), idle_cluster(), 0.0);
   ASSERT_TRUE(alone.accepted);
 
   // A new, even more urgent task that would displace it under EDF.
   const workload::Task intruder = make_task(2, 0.0, 200.0, 1390.0);
-  const AdmissionOutcome outcome =
+  const AdmissionOutcome& outcome =
       controller.test(&intruder, {&admitted}, paper_params(), idle_cluster(), 0.0);
   EXPECT_FALSE(outcome.accepted);
   // The victim is the previously admitted task, planned after the intruder.
@@ -117,7 +117,7 @@ TEST(Admission, ValidateQueueWithoutNewTask) {
   AdmissionController controller(Policy::kEdf, rule.get());
   const workload::Task a = make_task(1, 0.0, 200.0, 4000.0);
   const workload::Task b = make_task(2, 0.0, 200.0, 9000.0);
-  const AdmissionOutcome outcome =
+  const AdmissionOutcome& outcome =
       controller.test(nullptr, {&a, &b}, paper_params(), idle_cluster(), 0.0);
   ASSERT_TRUE(outcome.accepted);
   EXPECT_EQ(outcome.schedule.size(), 2u);
@@ -126,7 +126,7 @@ TEST(Admission, ValidateQueueWithoutNewTask) {
 TEST(Admission, EmptyTestTriviallyAccepts) {
   const auto rule = make_dlt_iit_rule();
   AdmissionController controller(Policy::kEdf, rule.get());
-  const AdmissionOutcome outcome =
+  const AdmissionOutcome& outcome =
       controller.test(nullptr, {}, paper_params(), idle_cluster(), 0.0);
   EXPECT_TRUE(outcome.accepted);
   EXPECT_TRUE(outcome.schedule.empty());
@@ -138,7 +138,7 @@ TEST(Admission, FreeTimesFlooredAtNow) {
   // Stale free times in the past must not let a task start before `now`.
   std::vector<cluster::Time> stale(16, 0.0);
   const workload::Task task = make_task(1, 500.0, 200.0, 3000.0);
-  const AdmissionOutcome outcome =
+  const AdmissionOutcome& outcome =
       controller.test(&task, {}, paper_params(), stale, 500.0);
   ASSERT_TRUE(outcome.accepted);
   EXPECT_GE(outcome.schedule[0].plan.available.front(), 500.0);
@@ -162,7 +162,7 @@ TEST(Admission, NoNodeOversubscription) {
   const workload::Task a = make_task(1, 0.0, 200.0, 30000.0, 10);
   const workload::Task b = make_task(2, 0.0, 200.0, 30000.0, 10);
   const workload::Task c = make_task(3, 0.0, 200.0, 30000.0, 12);
-  const AdmissionOutcome outcome =
+  const AdmissionOutcome& outcome =
       controller.test(&c, {&a, &b}, paper_params(), idle_cluster(), 0.0);
   ASSERT_TRUE(outcome.accepted);
 

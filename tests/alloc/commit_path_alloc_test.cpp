@@ -2,36 +2,18 @@
 // plan on nodes (sched::commit_plan), recording its index work, and rolling
 // it out into a reused timeline allocate nothing.
 //
-// Built as its own executable because it replaces the global operator new
-// with a counting one; registered only without sanitizers, which install
-// their own allocator.
+// Counted through alloc_counter.hpp (see there for why this is an
+// executable of its own).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "cluster/cluster.hpp"
 #include "sched/admission.hpp"
 #include "sim/exec_model.hpp"
 #include "workload/task.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace rtdls {
 namespace {
@@ -84,9 +66,9 @@ TEST(CommitPathAllocations, WarmCommitAndRolloutAllocateNothingAtN512) {
   };
 
   for (std::size_t i = 0; i < 3 * plans.size(); ++i) cycle(i);
-  const std::uint64_t before = allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = alloc_test::allocation_count();
   for (std::size_t i = 0; i < 1000; ++i) cycle(i);
-  const std::uint64_t after = allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = alloc_test::allocation_count();
 
   EXPECT_EQ(after - before, 0u);
   EXPECT_TRUE(cluster.index_consistent());

@@ -270,7 +270,7 @@ TEST(DeltaSession, BurstFootprintAtLeast25FoldBelowDenseRowsAtN1024) {
   }
   std::vector<const workload::Task*> waiting;
   for (const workload::Task& task : tasks) {
-    const sched::AdmissionOutcome outcome =
+    const sched::AdmissionOutcome& outcome =
         controller.test_incremental(task, waiting, params, cluster, 0.0);
     ASSERT_TRUE(outcome.accepted);
     waiting.resize(outcome.reused_prefix);
@@ -379,6 +379,7 @@ TEST(HetResolverJump, MatchesLinearScanOnAdversarialStates) {
 
   TestRng rng(20070227);
   sched::het::PlannerScratch scratch;
+  sched::TaskPlan plan;
   std::size_t accepts = 0;
   std::size_t hard_rejects = 0;
   std::size_t capacity_rejects = 0;
@@ -434,11 +435,12 @@ TEST(HetResolverJump, MatchesLinearScanOnAdversarialStates) {
 
     const ReferenceOutcome ref_dlt =
         reference_dlt_scan(round_params, sigma, deadline, free_times, ids);
-    const sched::PlanResult got_dlt = sched::het::plan_dlt_iit(request, scratch);
-    ASSERT_EQ(got_dlt.reason, ref_dlt.reason) << "round " << round;
+    // One plan slot serves every round and both rules (plan-into reuse).
+    ASSERT_EQ(sched::het::plan_dlt_iit(request, scratch, plan), ref_dlt.reason)
+        << "round " << round;
     if (ref_dlt.reason == dlt::Infeasibility::kNone) {
-      ASSERT_EQ(got_dlt.plan.nodes, ref_dlt.nodes) << "round " << round;
-      ASSERT_EQ(got_dlt.plan.est_completion, ref_dlt.est) << "round " << round;
+      ASSERT_EQ(plan.nodes, ref_dlt.nodes) << "round " << round;
+      ASSERT_EQ(plan.est_completion, ref_dlt.est) << "round " << round;
       ++accepts;
     } else if (ref_dlt.reason == dlt::Infeasibility::kNeedsMoreNodes) {
       ++capacity_rejects;
@@ -448,11 +450,11 @@ TEST(HetResolverJump, MatchesLinearScanOnAdversarialStates) {
 
     const ReferenceOutcome ref_opr =
         reference_opr_scan(round_params, sigma, deadline, free_times, ids);
-    const sched::PlanResult got_opr = sched::het::plan_opr_mn(request, scratch);
-    ASSERT_EQ(got_opr.reason, ref_opr.reason) << "round " << round;
+    ASSERT_EQ(sched::het::plan_opr_mn(request, scratch, plan), ref_opr.reason)
+        << "round " << round;
     if (ref_opr.reason == dlt::Infeasibility::kNone) {
-      ASSERT_EQ(got_opr.plan.nodes, ref_opr.nodes) << "round " << round;
-      ASSERT_EQ(got_opr.plan.est_completion, ref_opr.est) << "round " << round;
+      ASSERT_EQ(plan.nodes, ref_opr.nodes) << "round " << round;
+      ASSERT_EQ(plan.est_completion, ref_opr.est) << "round " << round;
     }
   }
   // The sweep must actually exercise all three outcome families.
@@ -495,9 +497,10 @@ TEST(HetResolverJump, RecoversExactRejectReasonAcrossTheSkippedRange) {
 
   sched::het::PlannerScratch scratch;
   const ReferenceOutcome ref = reference_dlt_scan(params, sigma, deadline, free_times, ids);
-  const sched::PlanResult got = sched::het::plan_dlt_iit(request, scratch);
-  ASSERT_EQ(got.reason, ref.reason);
-  ASSERT_EQ(got.reason, dlt::Infeasibility::kTransmissionTooLong);
+  sched::TaskPlan plan;
+  const dlt::Infeasibility got = sched::het::plan_dlt_iit(request, scratch, plan);
+  ASSERT_EQ(got, ref.reason);
+  ASSERT_EQ(got, dlt::Infeasibility::kTransmissionTooLong);
 }
 
 }  // namespace

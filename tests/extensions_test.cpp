@@ -159,23 +159,23 @@ TEST(OutputRule, BudgetsResultPhaseIntoDeadline) {
   request.params = paper_params();
   request.free_times = &free_times;
 
-  const sched::PlanResult with_io = io.rule->plan(request);
-  const sched::PlanResult without = plain.rule->plan(request);
-  ASSERT_TRUE(with_io.feasible());
-  ASSERT_TRUE(without.feasible());
+  sched::TaskPlan with_io;
+  sched::TaskPlan without;
+  ASSERT_EQ(io.rule->plan(request, with_io), dlt::Infeasibility::kNone);
+  ASSERT_EQ(plain.rule->plan(request, without), dlt::Infeasibility::kNone);
   // The input phase planned against the tighter deadline needs at least as
   // many nodes; the result channel time rides on top of that input plan
   // (the total can undercut the plain estimate - more nodes, faster input).
-  EXPECT_LE(with_io.plan.est_completion, task.abs_deadline() + 1e-9);
-  EXPECT_GE(with_io.plan.nodes, without.plan.nodes);
+  EXPECT_LE(with_io.est_completion, task.abs_deadline() + 1e-9);
+  EXPECT_GE(with_io.nodes, without.nodes);
   workload::Task tighter = task;
   tighter.spec.rel_deadline -= dlt::output_channel_time(paper_params(), 200.0, 0.2);
   sched::PlanRequest tight_request = request;
   tight_request.task = &tighter;
-  const sched::PlanResult input_only = plain.rule->plan(tight_request);
-  ASSERT_TRUE(input_only.feasible());
-  EXPECT_NEAR(with_io.plan.est_completion,
-              input_only.plan.est_completion +
+  sched::TaskPlan input_only;
+  ASSERT_EQ(plain.rule->plan(tight_request, input_only), dlt::Infeasibility::kNone);
+  EXPECT_NEAR(with_io.est_completion,
+              input_only.est_completion +
                   dlt::output_channel_time(paper_params(), 200.0, 0.2),
               1e-9);
 }
@@ -189,8 +189,8 @@ TEST(OutputRule, RejectsWhenResultsAloneBlowDeadline) {
   request.task = &task;
   request.params = paper_params();
   request.free_times = &free_times;
-  const sched::PlanResult result = io.rule->plan(request);
-  EXPECT_FALSE(result.feasible());
+  sched::TaskPlan plan;
+  EXPECT_EQ(io.rule->plan(request, plan), dlt::Infeasibility::kTransmissionTooLong);
 }
 
 TEST(OutputRule, EndToEndNoMissesWhenConfigMatches) {
@@ -249,7 +249,8 @@ TEST(BackfillRule, RequiresCalendar) {
   request.task = &task;
   request.params = paper_params();
   request.free_times = &free_times;
-  EXPECT_THROW(bf.rule->plan(request), std::invalid_argument);
+  sched::TaskPlan plan;
+  EXPECT_THROW(bf.rule->plan(request, plan), std::invalid_argument);
 }
 
 TEST(BackfillRule, IdleClusterMatchesOprMn) {
@@ -263,13 +264,13 @@ TEST(BackfillRule, IdleClusterMatchesOprMn) {
   request.params = paper_params();
   request.free_times = &free_times;
   request.calendar = &calendar;
-  const sched::PlanResult a = bf.rule->plan(request);
-  const sched::PlanResult b = mn.rule->plan(request);
-  ASSERT_TRUE(a.feasible());
-  ASSERT_TRUE(b.feasible());
-  EXPECT_EQ(a.plan.nodes, b.plan.nodes);
-  EXPECT_NEAR(a.plan.est_completion, b.plan.est_completion, 1e-9);
-  EXPECT_EQ(a.plan.node_ids.size(), a.plan.nodes);
+  sched::TaskPlan a;
+  sched::TaskPlan b;
+  ASSERT_EQ(bf.rule->plan(request, a), dlt::Infeasibility::kNone);
+  ASSERT_EQ(mn.rule->plan(request, b), dlt::Infeasibility::kNone);
+  EXPECT_EQ(a.nodes, b.nodes);
+  EXPECT_NEAR(a.est_completion, b.est_completion, 1e-9);
+  EXPECT_EQ(a.node_ids.size(), a.nodes);
 }
 
 TEST(BackfillRule, FillsAGapInFrontOfAReservation) {
@@ -287,13 +288,15 @@ TEST(BackfillRule, FillsAGapInFrontOfAReservation) {
   request.calendar = &calendar;
 
   const sched::Algorithm bf = sched::make_algorithm("EDF-OPR-MN-BF");
-  const sched::PlanResult backfilled = bf.rule->plan(request);
-  ASSERT_TRUE(backfilled.feasible());
-  EXPECT_DOUBLE_EQ(backfilled.plan.available.front(), 0.0);
-  EXPECT_LE(backfilled.plan.est_completion, 3000.0);
+  sched::TaskPlan backfilled;
+  ASSERT_EQ(bf.rule->plan(request, backfilled), dlt::Infeasibility::kNone);
+  EXPECT_DOUBLE_EQ(backfilled.available.front(), 0.0);
+  EXPECT_LE(backfilled.est_completion, 3000.0);
 
   const sched::Algorithm mn = sched::make_algorithm("EDF-OPR-MN");
-  EXPECT_FALSE(mn.rule->plan(request).feasible());  // release view: too late
+  sched::TaskPlan released;
+  EXPECT_NE(mn.rule->plan(request, released),  // release view: too late
+            dlt::Infeasibility::kNone);
 }
 
 TEST(BackfillRule, NudgedNminOvershootRetriesInsteadOfRejecting) {
@@ -345,10 +348,11 @@ TEST(BackfillRule, NudgedNminOvershootRetriesInsteadOfRejecting) {
   request.calendar = &calendar;
 
   const sched::Algorithm bf = sched::make_algorithm("EDF-OPR-MN-BF");
-  const sched::PlanResult result = bf.rule->plan(request);
-  ASSERT_TRUE(result.feasible()) << "nudge overshoot still rejects the task";
-  EXPECT_EQ(result.plan.nodes, trigger_need.nodes + 1);
-  EXPECT_LE(result.plan.est_completion, deadline + 1e-9);
+  sched::TaskPlan plan;
+  ASSERT_EQ(bf.rule->plan(request, plan), dlt::Infeasibility::kNone)
+      << "nudge overshoot still rejects the task";
+  EXPECT_EQ(plan.nodes, trigger_need.nodes + 1);
+  EXPECT_LE(plan.est_completion, deadline + 1e-9);
 }
 
 TEST(BackfillRule, AdmissionKeepsPlansConflictFree) {
@@ -360,7 +364,7 @@ TEST(BackfillRule, AdmissionKeepsPlansConflictFree) {
   const workload::Task a = make_task(1, 0.0, 200.0, 2000.0);
   const workload::Task b = make_task(2, 0.0, 200.0, 30000.0);
   const workload::Task c = make_task(3, 0.0, 100.0, 30000.0);
-  const sched::AdmissionOutcome outcome =
+  const sched::AdmissionOutcome& outcome =
       controller.test(&c, {&a, &b}, paper_params(), free_times, 0.0, &calendar);
   ASSERT_TRUE(outcome.accepted);
   // Replaying every plan into a fresh calendar must not conflict.

@@ -269,15 +269,16 @@ TEST(BackfillFixedPoint, EngineeredTwoCycleTakesConservativeFallback) {
   request.calendar = &calendar;
 
   sched::het::PlannerScratch scratch;
-  const sched::PlanResult result = sched::het::plan_opr_mn_backfill(request, scratch);
-  ASSERT_TRUE(result.feasible());
+  sched::TaskPlan plan;
+  ASSERT_EQ(sched::het::plan_opr_mn_backfill(request, scratch, plan),
+            dlt::Infeasibility::kNone);
   EXPECT_EQ(scratch.counters.backfill_fixed_point_fallbacks, 1u);
-  ASSERT_EQ(result.plan.nodes, 1u);
-  ASSERT_EQ(result.plan.node_ids, std::vector<cluster::NodeId>{1});
+  ASSERT_EQ(plan.nodes, 1u);
+  ASSERT_EQ(plan.node_ids, std::vector<cluster::NodeId>{1});
   // The accepted window is node 1's own fixed point: exec = 1*(1 + 1*10).
-  EXPECT_EQ(result.plan.est_completion, 11.0);
+  EXPECT_EQ(plan.est_completion, 11.0);
   // Conservative-window guarantee: the member really is free across it.
-  EXPECT_TRUE(calendar.is_free(1, 0.0, result.plan.est_completion));
+  EXPECT_TRUE(calendar.is_free(1, 0.0, plan.est_completion));
 }
 
 TEST(BackfillFixedPoint, RuleExposesAndResetsFallbackCounter) {
@@ -302,9 +303,10 @@ TEST(BackfillFixedPoint, RuleExposesAndResetsFallbackCounter) {
   request.calendar = &calendar;
 
   const sched::Algorithm algorithm = sched::make_algorithm("EDF-OPR-MN-BF");
-  ASSERT_TRUE(algorithm.rule->plan(request).feasible());
+  sched::TaskPlan plan;
+  ASSERT_EQ(algorithm.rule->plan(request, plan), dlt::Infeasibility::kNone);
   EXPECT_EQ(algorithm.rule->planner_counters().backfill_fixed_point_fallbacks, 1u);
-  ASSERT_TRUE(algorithm.rule->plan(request).feasible());
+  ASSERT_EQ(algorithm.rule->plan(request, plan), dlt::Infeasibility::kNone);
   EXPECT_EQ(algorithm.rule->planner_counters().backfill_fixed_point_fallbacks, 2u);
   algorithm.rule->reset_planner_counters();
   EXPECT_EQ(algorithm.rule->planner_counters().backfill_fixed_point_fallbacks, 0u);

@@ -23,14 +23,24 @@ workload::Task make_task(double arrival, double sigma, double deadline,
   return task;
 }
 
-PlanResult plan_with(const PartitionRule& rule, const workload::Task& task,
-                     std::vector<cluster::Time> free_times, double now = 0.0) {
+/// One plan() call into a fresh slot, with its reason.
+struct Planned {
+  dlt::Infeasibility reason = dlt::Infeasibility::kNone;
+  TaskPlan plan;
+
+  bool feasible() const { return reason == dlt::Infeasibility::kNone; }
+};
+
+Planned plan_with(const PartitionRule& rule, const workload::Task& task,
+                  std::vector<cluster::Time> free_times, double now = 0.0) {
   PlanRequest request;
   request.task = &task;
   request.params = paper_params();
   request.free_times = &free_times;
   request.now = now;
-  return rule.plan(request);
+  Planned planned;
+  planned.reason = rule.plan(request, planned.plan);
+  return planned;
 }
 
 std::vector<cluster::Time> idle_cluster() { return std::vector<cluster::Time>(16, 0.0); }
@@ -40,7 +50,7 @@ std::vector<cluster::Time> idle_cluster() { return std::vector<cluster::Time>(16
 TEST(DltRule, AssignsNminOnIdleCluster) {
   const auto rule = make_dlt_iit_rule();
   const workload::Task task = make_task(0.0, 200.0, 3000.0);
-  const PlanResult result = plan_with(*rule, task, idle_cluster());
+  const Planned result = plan_with(*rule, task, idle_cluster());
   ASSERT_TRUE(result.feasible());
   const dlt::NminResult expected = dlt::minimum_nodes(paper_params(), 200.0, 3000.0, 0.0);
   EXPECT_EQ(result.plan.nodes, expected.nodes);
@@ -55,7 +65,7 @@ TEST(DltRule, ReservesNodesFromTheirOwnAvailability) {
   free_times[0] = 500.0;  // one node busy until 500 (will sort first anyway)
   for (std::size_t i = 0; i < 8; ++i) free_times[i] = 100.0 * static_cast<double>(i);
   std::sort(free_times.begin(), free_times.end());
-  const PlanResult result = plan_with(*rule, task, free_times);
+  const Planned result = plan_with(*rule, task, free_times);
   ASSERT_TRUE(result.feasible());
   EXPECT_EQ(result.plan.reserve_from, result.plan.available);  // IITs utilized
 }
@@ -68,8 +78,8 @@ TEST(DltRule, EstimateNeverExceedsOprEstimate) {
   const workload::Task task = make_task(0.0, 200.0, 5000.0);
   std::vector<cluster::Time> free_times = idle_cluster();
   for (std::size_t i = 0; i < 16; ++i) free_times[i] = 150.0 * static_cast<double>(i);
-  const PlanResult dlt = plan_with(*dlt_rule, task, free_times);
-  const PlanResult opr = plan_with(*opr_rule, task, free_times);
+  const Planned dlt = plan_with(*dlt_rule, task, free_times);
+  const Planned opr = plan_with(*opr_rule, task, free_times);
   ASSERT_TRUE(dlt.feasible());
   ASSERT_TRUE(opr.feasible());
   EXPECT_EQ(dlt.plan.nodes, opr.plan.nodes);
@@ -89,15 +99,15 @@ TEST(DltRule, ClampedFallbackAcceptsWhereOprRejects) {
   const auto opr_rule = make_opr_mn_rule();
   // Probe the DLT estimate first to pick a deadline strictly between.
   const workload::Task probe = make_task(0.0, sigma, 1e9);
-  const PlanResult wide = plan_with(*dlt_rule, probe, free_times);
+  const Planned wide = plan_with(*dlt_rule, probe, free_times);
   ASSERT_TRUE(wide.feasible());
 
   // DLT on all 16 of those nodes: estimate via the het model.
   std::vector<cluster::Time> all16 = free_times;
   const workload::Task marginal =
       make_task(0.0, sigma, 1000.0 + e16 * 0.97);  // < rn + E, > rn + E_hat?
-  const PlanResult dlt = plan_with(*dlt_rule, marginal, all16);
-  const PlanResult opr = plan_with(*opr_rule, marginal, all16);
+  const Planned dlt = plan_with(*dlt_rule, marginal, all16);
+  const Planned opr = plan_with(*opr_rule, marginal, all16);
   EXPECT_FALSE(opr.feasible());
   ASSERT_TRUE(dlt.feasible()) << "E_hat headroom should admit the marginal task";
   EXPECT_EQ(dlt.plan.nodes, 16u);
@@ -122,7 +132,7 @@ TEST(DltRule, OptimisticVariantRejectsViaCompletionCheck) {
   free_times[0] = 0.0;
   const workload::Task task = make_task(0.0, 200.0, 3000.0);
   const auto optimistic = make_dlt_iit_rule(NodeSearch::kOptimistic);
-  const PlanResult result = plan_with(*optimistic, task, free_times);
+  const Planned result = plan_with(*optimistic, task, free_times);
   EXPECT_FALSE(result.feasible());
   // The iterative variant also fails here (only 1 node is usable in time),
   // but via the n search.
@@ -133,13 +143,14 @@ TEST(DltRule, OptimisticVariantRejectsViaCompletionCheck) {
 TEST(DltRule, MalformedRequestThrows) {
   const auto rule = make_dlt_iit_rule();
   PlanRequest request;
-  EXPECT_THROW(rule->plan(request), std::invalid_argument);
+  TaskPlan plan;
+  EXPECT_THROW(rule->plan(request, plan), std::invalid_argument);
   const workload::Task task = make_task(0.0, 200.0, 3000.0);
   request.task = &task;
   std::vector<cluster::Time> wrong_size(3, 0.0);
   request.params = paper_params();
   request.free_times = &wrong_size;
-  EXPECT_THROW(rule->plan(request), std::invalid_argument);
+  EXPECT_THROW(rule->plan(request, plan), std::invalid_argument);
 }
 
 // --- OPR rules -----------------------------------------------------------------
@@ -149,7 +160,7 @@ TEST(OprMnRule, SimultaneousAllocationWastesIits) {
   const workload::Task task = make_task(0.0, 200.0, 6000.0);
   std::vector<cluster::Time> free_times = idle_cluster();
   for (std::size_t i = 0; i < 16; ++i) free_times[i] = 100.0 * static_cast<double>(i);
-  const PlanResult result = plan_with(*rule, task, free_times);
+  const Planned result = plan_with(*rule, task, free_times);
   ASSERT_TRUE(result.feasible());
   const cluster::Time rn = result.plan.available.back();
   for (cluster::Time reserve : result.plan.reserve_from) {
@@ -165,8 +176,8 @@ TEST(OprMnRule, IdleClusterMatchesDltPlan) {
   const auto opr = make_opr_mn_rule();
   const auto dlt = make_dlt_iit_rule();
   const workload::Task task = make_task(0.0, 200.0, 3000.0);
-  const PlanResult a = plan_with(*opr, task, idle_cluster());
-  const PlanResult b = plan_with(*dlt, task, idle_cluster());
+  const Planned a = plan_with(*opr, task, idle_cluster());
+  const Planned b = plan_with(*dlt, task, idle_cluster());
   ASSERT_TRUE(a.feasible());
   ASSERT_TRUE(b.feasible());
   EXPECT_EQ(a.plan.nodes, b.plan.nodes);
@@ -176,7 +187,7 @@ TEST(OprMnRule, IdleClusterMatchesDltPlan) {
 TEST(OprAnRule, AlwaysUsesWholeCluster) {
   const auto rule = make_opr_an_rule();
   const workload::Task task = make_task(0.0, 200.0, 3000.0);
-  const PlanResult result = plan_with(*rule, task, idle_cluster());
+  const Planned result = plan_with(*rule, task, idle_cluster());
   ASSERT_TRUE(result.feasible());
   EXPECT_EQ(result.plan.nodes, 16u);
   EXPECT_NEAR(result.plan.est_completion,
@@ -188,7 +199,7 @@ TEST(OprAnRule, RejectsWhenClusterGathersTooLate) {
   const workload::Task task = make_task(0.0, 200.0, 3000.0);
   std::vector<cluster::Time> free_times = idle_cluster();
   free_times[15] = 2500.0;  // one laggard delays the whole task
-  const PlanResult result = plan_with(*rule, task, free_times);
+  const Planned result = plan_with(*rule, task, free_times);
   EXPECT_FALSE(result.feasible());
 }
 
@@ -197,7 +208,7 @@ TEST(OprAnRule, RejectsWhenClusterGathersTooLate) {
 TEST(UserSplitRule, UsesRequestedNodeCount) {
   const auto rule = make_user_split_rule();
   const workload::Task task = make_task(0.0, 200.0, 4000.0, /*user_nodes=*/10);
-  const PlanResult result = plan_with(*rule, task, idle_cluster());
+  const Planned result = plan_with(*rule, task, idle_cluster());
   ASSERT_TRUE(result.feasible());
   EXPECT_EQ(result.plan.nodes, 10u);
   for (double a : result.plan.alpha) EXPECT_DOUBLE_EQ(a, 0.1);
@@ -208,7 +219,7 @@ TEST(UserSplitRule, UsesRequestedNodeCount) {
 TEST(UserSplitRule, ZeroRequestMeansWholeCluster) {
   const auto rule = make_user_split_rule();
   const workload::Task task = make_task(0.0, 200.0, 4000.0, 0);
-  const PlanResult result = plan_with(*rule, task, idle_cluster());
+  const Planned result = plan_with(*rule, task, idle_cluster());
   ASSERT_TRUE(result.feasible());
   EXPECT_EQ(result.plan.nodes, 16u);
 }
@@ -217,7 +228,7 @@ TEST(UserSplitRule, RejectsWhenEqualSplitMissesDeadline) {
   const auto rule = make_user_split_rule();
   // sigma=200 on 2 nodes: C = 200 + 20000/2 = 10200 > 4000.
   const workload::Task task = make_task(0.0, 200.0, 4000.0, 2);
-  const PlanResult result = plan_with(*rule, task, idle_cluster());
+  const Planned result = plan_with(*rule, task, idle_cluster());
   EXPECT_FALSE(result.feasible());
   EXPECT_EQ(result.reason, dlt::Infeasibility::kNeedsMoreNodes);
 }
@@ -225,7 +236,7 @@ TEST(UserSplitRule, RejectsWhenEqualSplitMissesDeadline) {
 TEST(UserSplitRule, EstimateMatchesEq15) {
   const auto rule = make_user_split_rule();
   const workload::Task task = make_task(0.0, 200.0, 4000.0, 8);
-  const PlanResult result = plan_with(*rule, task, idle_cluster());
+  const Planned result = plan_with(*rule, task, idle_cluster());
   ASSERT_TRUE(result.feasible());
   EXPECT_NEAR(result.plan.est_completion, 200.0 + 20000.0 / 8.0, 1e-9);
 }
@@ -238,8 +249,8 @@ TEST(MultiRoundRule, FeasibleAndNoWorseThanSingleRoundEstimate) {
   const workload::Task task = make_task(0.0, 200.0, 5000.0);
   std::vector<cluster::Time> free_times = idle_cluster();
   for (std::size_t i = 8; i < 16; ++i) free_times[i] = 800.0;
-  const PlanResult a = plan_with(*mr, task, free_times);
-  const PlanResult b = plan_with(*single, task, free_times);
+  const Planned a = plan_with(*mr, task, free_times);
+  const Planned b = plan_with(*single, task, free_times);
   ASSERT_TRUE(a.feasible());
   ASSERT_TRUE(b.feasible());
   EXPECT_LE(a.plan.est_completion, task.abs_deadline() + 1e-9);
@@ -278,7 +289,7 @@ TEST_P(EveryRule, FeasiblePlansAreConsistentAndMeetDeadline) {
         std::vector<cluster::Time> free_times(16, 0.0);
         for (std::size_t i = 10; i < 16; ++i) free_times[i] = busy_until;
         workload::Task task = make_task(0.0, sigma, deadline, /*user_nodes=*/12);
-        const PlanResult result = plan_with(*rule, task, free_times);
+        const Planned result = plan_with(*rule, task, free_times);
         if (!result.feasible()) continue;
         EXPECT_TRUE(result.plan.consistent())
             << GetParam().label << " sigma=" << sigma << " D=" << deadline;
