@@ -183,18 +183,26 @@ void BM_AdmissionBurst(benchmark::State& state) {
                      2.0e6 + jitter * 5.0e3};
   }
 
+  // Adoption as the simulator and the shard do it: plans swap into held
+  // entries, and the task view is rebuilt for the next test.
+  struct Held {
+    const workload::Task* task = nullptr;
+    sched::TaskPlan plan;
+  };
+  std::vector<Held> held;
   std::vector<const workload::Task*> waiting;
   for (auto _ : state) {
     controller.invalidate();
+    for (Held& entry : held) controller.recycle_plan(std::move(entry.plan));
+    held.clear();
     waiting.clear();
     for (const workload::Task& task : tasks) {
-      const sched::AdmissionOutcome& outcome =
+      sched::AdmissionOutcome& outcome =
           controller.test_incremental(task, waiting, params, cluster, 0.0);
       if (!outcome.accepted) continue;
-      waiting.resize(outcome.reused_prefix);
-      for (const sched::ScheduledTask& scheduled : outcome.schedule) {
-        waiting.push_back(scheduled.task);
-      }
+      controller.adopt_schedule(outcome, held, [](Held&) {});
+      waiting.clear();
+      for (const Held& entry : held) waiting.push_back(entry.task);
     }
   }
   const auto peak = controller.peak_session_memory();

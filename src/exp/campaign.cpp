@@ -8,6 +8,10 @@
 #include <stdexcept>
 #include <thread>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "exp/runner.hpp"
 #include "obs/metrics.hpp"
 #include "sched/registry.hpp"
@@ -425,6 +429,14 @@ void run_campaign(const Campaign& campaign, const CampaignOptions& options, Resu
               [](const FailedCell& a, const FailedCell& b) { return a.index < b.index; });
   }
   sink.close();
+  // The simulators and traces die here, but glibc keeps what the pool's
+  // lanes freed in their per-thread arenas, fragmented, so every repeated
+  // campaign would raise the process's peak RSS. Hand it back.
+  pools.clear();
+  traces.clear();
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
 }
 
 AggregateSink::AggregateSink(const Campaign& campaign) {

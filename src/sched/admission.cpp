@@ -22,11 +22,20 @@ struct AdmissionObs {
       obs::Registry::global().counter("rtdls_admission_delta_replays_total");
   obs::Counter checkpoints =
       obs::Registry::global().counter("rtdls_admission_checkpoints_total");
-  /// Re-planned suffix length (temp-list entries from the insertion point)
-  /// per accepted incremental admission.
-  obs::Histogram replan_suffix = obs::Registry::global().histogram(
-      "rtdls_admission_replan_suffix", obs::HistogramOptions{1.0, 4, 64});
+  /// Sessions kept by a refloor where `now` passed an idle node.
+  obs::Counter session_resyncs =
+      obs::Registry::global().counter("rtdls_admission_session_resyncs_total");
 };
+
+/// Equality in every field but `available`: the refloor's test that a
+/// re-planned front hands on the same releases and commits at the same
+/// instant.
+bool same_but_available(const TaskPlan& a, const TaskPlan& b) {
+  return a.task == b.task && a.nodes == b.nodes && a.reserve_from == b.reserve_from &&
+         a.node_release == b.node_release && a.alpha == b.alpha &&
+         a.est_completion == b.est_completion && a.rounds == b.rounds &&
+         a.node_ids == b.node_ids && a.node_cps == b.node_cps;
+}
 
 AdmissionObs& admission_obs() {
   static AdmissionObs handles;
@@ -38,6 +47,9 @@ AdmissionObs& admission_obs() {
 AdmissionController::AdmissionController(Policy policy, const PartitionRule* rule)
     : policy_(policy), rule_(rule) {
   if (rule_ == nullptr) throw std::invalid_argument("AdmissionController: null rule");
+  // Counted like every other plan: adopting a refreshed front swaps it into
+  // circulation, and the pool has room for every plan made.
+  outcome_.front = take_spare_plan();
 }
 
 AdmissionOutcome& AdmissionController::test(
@@ -55,6 +67,7 @@ void AdmissionController::reset_outcome(AdmissionOutcome& out, std::size_t n) {
   out.reason = dlt::Infeasibility::kNone;
   out.blocking_task = cluster::kNoTask;
   out.reused_prefix = 0;
+  out.front_refreshed = false;
   std::vector<ScheduledTask>& schedule = out.schedule;
   while (schedule.size() > n) {
     spare_plans_.push_back(std::move(schedule.back().plan));
@@ -108,6 +121,7 @@ dlt::Infeasibility AdmissionController::plan_into(const PlanRequest& request,
     for (std::size_t r = head_; r < plans_.size(); ++r) fit_plan(plans_[r]);
     for (TaskPlan& plan : spare_plans_) fit_plan(plan);
     for (ScheduledTask& entry : outcome_.schedule) fit_plan(entry.plan);
+    fit_plan(outcome_.front);
   }
   return reason;
 }
@@ -238,6 +252,7 @@ void AdmissionController::invalidate() {
   head_ = 0;
   planned_ = 0;
   synced_prefix_ = 0;
+  front_refreshed_ = false;
   order_.clear();
   delta_end_.clear();
   delta_times_.clear();
@@ -282,7 +297,12 @@ void AdmissionController::note_session_peak() {
 
 AdmissionController::Checkpoint AdmissionController::take_checkpoint(std::size_t pos) {
   Checkpoint cp;
-  if (!checkpoint_pool_.empty()) {
+  if (checkpoint_pool_.empty()) {
+    // A new checkpoint: the pool makes room for every one in existence, so
+    // invalidate() retiring them all at once never grows it.
+    const std::size_t made = checkpoints_.size() + scratch_checkpoints_.size() + 1;
+    if (checkpoint_pool_.capacity() < made) checkpoint_pool_.reserve(2 * made);
+  } else {
     cp = std::move(checkpoint_pool_.back());
     checkpoint_pool_.pop_back();
   }
@@ -300,18 +320,40 @@ void AdmissionController::retire_checkpoint(Checkpoint&& checkpoint) {
   checkpoint_pool_.push_back(std::move(checkpoint));
 }
 
+void AdmissionController::rebase_head(const std::vector<Time>& times,
+                                      const std::vector<cluster::NodeId>& ids) {
+  const auto keep = std::find_if(checkpoints_.begin(), checkpoints_.end(),
+                                 [this](const Checkpoint& cp) { return cp.pos > head_; });
+  // Recycle all but the first replaced checkpoint, which becomes the new
+  // one (there is always one at or before head_).
+  for (auto it = checkpoints_.begin() + 1; it != keep; ++it) {
+    retire_checkpoint(std::move(*it));
+  }
+  checkpoints_.erase(checkpoints_.begin() + 1, keep);
+  Checkpoint& base = checkpoints_.front();
+  base.pos = head_;
+  base.times = times;
+  if (het_session_) base.ids = ids;
+}
+
 void AdmissionController::compact_head() {
   if (head_ == 0) return;
   // The cut must land on a dense row (everything below it is erased, so the
   // delta chain can no longer reach positions before the first checkpoint):
-  // use the last checkpoint at or before head_. One always exists at
-  // position 0 (the rebuild seeds it and every compaction keeps the cut).
+  // use the last checkpoint at or before head_. One always exists there
+  // (the rebuild seeds position 0 and every compaction keeps the cut).
   std::size_t cut = 0;
   for (const Checkpoint& cp : checkpoints_) {
     if (cp.pos > head_) break;
     cut = cp.pos;
   }
-  if (cut == 0) return;  // nothing erasable yet; try again after more commits
+  if (cut == 0) {
+    // None past 0: FIFO appends at the frontier, where the suffix loop
+    // never checkpoints, so materialize row head_ into the cut checkpoint.
+    materialize_row(head_);
+    rebase_head(work_state_, work_ids_);
+    cut = head_;
+  }
   const auto offset = static_cast<std::ptrdiff_t>(cut);
   const std::size_t flat_cut = delta_start(cut);
   order_.erase(order_.begin(), order_.begin() + offset);
@@ -351,7 +393,7 @@ void AdmissionController::materialize_row(std::size_t pos) {
   const auto after = std::upper_bound(
       checkpoints_.begin(), checkpoints_.end(), pos,
       [](std::size_t p, const Checkpoint& cp) { return p < cp.pos; });
-  const Checkpoint& base = *(after - 1);  // exists: position 0 is always kept
+  const Checkpoint& base = *(after - 1);  // exists: one is kept at or before head_
   work_state_ = base.times;
   if (het_session_) work_ids_ = base.ids;
   admission_obs().delta_replays.add(pos - base.pos);
@@ -385,13 +427,15 @@ void AdmissionController::on_commit(const workload::Task* task, const TaskPlan& 
   // next row and the whole session just shifts by one - O(1) via the head
   // offset (the frontier row and every checkpoint keep their positions),
   // compacted back to the nearest checkpoint once the consumed prefix
-  // outweighs the live part (amortized O(1) per advance).
+  // passes 64 positions and a quarter of the live part (amortized O(1) per
+  // advance; the state stays within a constant of the live queue).
   spare_plans_.push_back(std::move(plans_[head_]));  // the caller holds it
   ++head_;
   --planned_;
   if (synced_prefix_ > 0) --synced_prefix_;
+  front_refreshed_ = false;
   cache_version_ = cluster_version;
-  if (head_ > 64 && head_ > order_.size() - head_) compact_head();
+  if (head_ > 64 && 4 * head_ > order_.size() - head_) compact_head();
 }
 
 AdmissionOutcome& AdmissionController::test_incremental(
@@ -408,13 +452,18 @@ AdmissionOutcome& AdmissionController::test_incremental(
   const bool het = params.heterogeneous();
 
   // The session is reusable when nothing that feeds the plans has changed:
-  // same availability version, no entry floored below `now` (rows are
-  // sorted, so the cached front of row head_ suffices), the same waiting
-  // order, and the same homogeneous/heterogeneous mode.
+  // same availability version, the same waiting order, and the same
+  // homogeneous/heterogeneous mode. An entry floored below `now` (rows are
+  // sorted, so the cached front of row head_ suffices) keeps it only if
+  // the refloor shows the rows after the front unchanged.
   bool reuse = cache_valid_ && cache_version_ == cluster.version() &&
                node_count_ == n && het_session_ == het && order_.size() - head_ == q &&
-               fronts_.size() > head_ && fronts_[head_] >= now;
+               fronts_.size() > head_;
   if (reuse) reuse = std::equal(waiting.begin(), waiting.end(), order_.begin() + head_);
+  if (reuse && fronts_[head_] < now) {
+    reuse = refloor(params, cluster, now);
+    if (reuse) admission_obs().session_resyncs.inc();
+  }
 
   if (!reuse) {
     admission_obs().session_rebuilds.inc();
@@ -615,10 +664,14 @@ AdmissionOutcome& AdmissionController::test_incremental(
   planned_ = q + 1;
   synced_prefix_ = q + 1;
   note_session_peak();
-  admission_obs().replan_suffix.record(static_cast<double>(q + 1 - p));
 
   outcome.accepted = true;
   outcome.reused_prefix = reused;
+  // A refreshed front inside the reused prefix travels on its own; from
+  // reused_prefix 0 on the schedule carries it.
+  outcome.front_refreshed = front_refreshed_ && reused > 0;
+  if (outcome.front_refreshed) outcome.front = plans_[head_];  // copy into kept capacity
+  front_refreshed_ = false;
   for (std::size_t i = reused; i <= q; ++i) {
     ScheduledTask& entry = outcome.schedule[i - reused];
     entry.task = order_[head_ + i];
@@ -626,6 +679,52 @@ AdmissionOutcome& AdmissionController::test_incremental(
   }
   if (cross_check_) verify_against_full(new_task, waiting, params, cluster, now, outcome);
   return outcome;
+}
+
+bool AdmissionController::refloor(const cluster::ClusterParams& params,
+                                  const cluster::Cluster& cluster, Time now) {
+  std::vector<Time>& row = free_scratch_;
+  std::vector<cluster::NodeId>& ids = free_ids_scratch_;
+  if (het_session_) {
+    cluster.availability_with_ids_into(now, row, ids);
+  } else {
+    cluster.availability_into(now, row);
+  }
+  if (planned_ > 0) {
+    // The front consumes the first k entries of row head_ and merges its
+    // releases into the rest, so the next row is unchanged when the rest is
+    // (every raised entry is among the k) and so are the releases.
+    materialize_row(head_);
+    TaskPlan& cached = plans_[head_];
+    const auto k = static_cast<std::ptrdiff_t>(cached.node_release.size());
+    if (!std::equal(row.begin() + k, row.end(), work_state_.begin() + k)) return false;
+    if (het_session_ && !std::equal(ids.begin() + k, ids.end(), work_ids_.begin() + k)) {
+      return false;
+    }
+    PlanRequest request;
+    request.task = order_[head_];
+    request.params = params;
+    request.free_times = &row;
+    request.node_ids = het_session_ ? &ids : nullptr;
+    request.now = now;
+    // The outcome's front slot is free until this call's outcome is
+    // written, and plan_into keeps it under the capacity invariant.
+    TaskPlan& fresh = outcome_.front;
+    if (plan_into(request, fresh) != dlt::Infeasibility::kNone ||
+        !same_but_available(fresh, cached)) {
+      return false;
+    }
+    if (!(fresh.available == cached.available)) {
+      std::swap(cached, fresh);
+      front_refreshed_ = true;
+    }
+  } else {
+    top_times_ = row;  // row head_ is the frontier
+    if (het_session_) top_ids_ = ids;
+  }
+  rebase_head(row, ids);
+  fronts_[head_] = row.front();
+  return true;
 }
 
 void AdmissionController::verify_against_full(
@@ -652,9 +751,13 @@ void AdmissionController::verify_against_full(
     if (reference.schedule[i].task != order_[head_ + i]) fail("task order");
     if (!(reference.schedule[i].plan == plans_[head_ + i])) fail("plan equality");
   }
-  // The outcome's tail was copied into recycled storage: no field of an
-  // earlier plan may survive there.
+  // The outcome's tail and refreshed front were copied into recycled
+  // storage: no field of an earlier plan may survive there.
   if (outcome.reused_prefix + outcome.schedule.size() != live) fail("outcome size");
+  if (outcome.front_refreshed &&
+      (outcome.reused_prefix == 0 || !(outcome.front == reference.schedule.front().plan))) {
+    fail("refreshed front");
+  }
   for (std::size_t i = 0; i < outcome.schedule.size(); ++i) {
     const ScheduledTask& expected = reference.schedule[outcome.reused_prefix + i];
     if (outcome.schedule[i].task != expected.task) fail("outcome task order");

@@ -19,6 +19,21 @@
 //    invalidating it. The outcomes are bit-identical to test() (asserted
 //    when cross-check mode is on).
 //
+// Refloor: the test floors every node's availability at the arrival
+// instant, so when `now` passes an idle node (a release before `now`, the
+// IIT case of OPR-MN with loose deadlines) the session's first row is stale
+// although nothing in the cluster changed. Instead of rebuilding, the
+// session re-reads the floored row and re-plans only the policy front. The
+// front consumes the row's first k entries and hands the rest on; when
+// every raised entry is among those k and the front's new plan equals the
+// cached one in every field but `available`, the front's releases - and so
+// every later row and plan - are unchanged, and the session is kept. Any
+// other difference (a raised entry past k, a changed node count or
+// release, an infeasible front) falls back to the full rebuild. The caller
+// learns of the refreshed front through AdmissionOutcome::front_refreshed;
+// its commit instant is unchanged, so adopting it needs no new commit
+// event.
+//
 // Session state representation: a plan touches only k << N availability
 // entries, so the session stores one sparse cluster::AvailabilityDelta per
 // planned task (O(k) bytes) instead of the dense N-wide row per task it used
@@ -84,6 +99,13 @@ struct AdmissionOutcome {
   /// what the caller already holds (incremental path only; 0 for test()).
   /// `schedule` holds the temp-list entries from this position onward.
   std::size_t reused_prefix = 0;
+
+  /// Incremental path only: the session refloored its policy front since
+  /// the caller last adopted it, and the front lies in the reused prefix.
+  /// `front` then holds waiting entry 0's refreshed plan, which differs
+  /// from the held one only in `available` (same commit instant).
+  bool front_refreshed = false;
+  TaskPlan front;
 
   std::vector<ScheduledTask> schedule;  ///< plans in policy order (accepted only)
 };
@@ -173,10 +195,15 @@ class AdmissionController {
   /// rewrites in place. The schedule covers the queue from reused_prefix on
   /// plus the new task, so the queue grows by exactly one entry, which
   /// starts from a pooled plan (see recycle_plan). `stamp(entry)` runs on
-  /// every adopted entry, in policy order.
+  /// every adopted entry, in policy order. A refreshed front is swapped in
+  /// the same way but not stamped: its commit instant is unchanged.
   template <typename Entry, typename Stamp>
   void adopt_schedule(AdmissionOutcome& outcome, std::vector<Entry>& waiting,
                       Stamp&& stamp) {
+    if (outcome.front_refreshed) {
+      std::swap(waiting.front().plan, outcome.front);
+      fit_plan(outcome.front);
+    }
     std::size_t pos = outcome.reused_prefix;
     for (ScheduledTask& scheduled : outcome.schedule) {
       if (pos == waiting.size()) {
@@ -248,6 +275,11 @@ class AdmissionController {
   dlt::Infeasibility plan_into(const PlanRequest& request, TaskPlan& slot);
   /// Grows `plan`'s columns to the widest plan written so far.
   void fit_plan(TaskPlan& plan);
+  /// The refloor (see the header comment): re-reads row head_ floored at
+  /// `now` and re-plans the front against it. Returns false, with the
+  /// session untouched, when the rows after the front would change.
+  bool refloor(const cluster::ClusterParams& params, const cluster::Cluster& cluster,
+               Time now);
   void verify_against_full(const workload::Task& new_task,
                            const std::vector<const workload::Task*>& waiting,
                            const cluster::ClusterParams& params,
@@ -274,12 +306,15 @@ class AdmissionController {
   // fronts_[r] is row r's first (minimum) entry, the O(1) "did `now`
   // overtake the snapshot" reuse check; rows exist for live 0..planned_.
   // Dense rows are materialized only in checkpoints_ (ascending positions
-  // on the ~sqrt(N) cadence, always one at or before head_; storage
+  // on the ~sqrt(N) cadence, always one at or before head_ - a refloor or
+  // a compaction that finds none past 0 puts one at head_; storage
   // recycled through checkpoint_pool_, so a rebuild's fresh position-0 row
   // allocates nothing) and top_times_/top_ids_, the row at position
   // head_ + planned_. Any other row is rebuilt on demand by
   // materialize_row. synced_prefix_ counts the leading live entries whose
-  // plans the caller is known to hold verbatim. Plans are recycled, never
+  // plans the caller is known to hold verbatim, except that the front's
+  // plan differs in `available` while front_refreshed_ is set (a refloor
+  // the caller has not adopted yet). Plans are recycled, never
   // freed: on_commit() hands the consumed plan to spare_plans_ (slots below
   // head_ are empty until compact_head() erases them), adoption overwrites
   // the replaced suffix in place, invalidate() hands every plan to
@@ -299,6 +334,9 @@ class AdmissionController {
   }
   Checkpoint take_checkpoint(std::size_t pos);
   void retire_checkpoint(Checkpoint&& checkpoint);
+  /// Replaces every checkpoint at or before head_ with one at head_
+  /// holding `times` (and `ids`, het sessions).
+  void rebase_head(const std::vector<Time>& times, const std::vector<cluster::NodeId>& ids);
   void compact_head();
   /// Copies row `pos` (absolute) into work_state_/work_ids_: the frontier
   /// row, else the nearest checkpoint at or before `pos` plus the delta
@@ -312,6 +350,7 @@ class AdmissionController {
   std::size_t head_ = 0;
   std::size_t planned_ = 0;
   std::size_t synced_prefix_ = 0;
+  bool front_refreshed_ = false;
   std::size_t checkpoint_every_ = 1;  ///< ~sqrt(N) cadence
   std::vector<const workload::Task*> order_;
   std::vector<TaskPlan> plans_;
@@ -327,7 +366,9 @@ class AdmissionController {
   SessionMemory peak_;
 
   // Scratch reused across calls (no per-arrival allocation steady-state).
-  std::vector<Time> free_scratch_;              ///< admit(): test()'s input row
+  /// The cluster's floored availability: test()'s input row in admit(),
+  /// the refloored row in refloor().
+  std::vector<Time> free_scratch_;
   std::vector<cluster::NodeId> free_ids_scratch_;
   std::vector<Time> work_state_;
   std::vector<cluster::NodeId> work_ids_;
@@ -357,9 +398,9 @@ class AdmissionController {
   AdmissionOutcome outcome_;
   std::vector<TaskPlan> spare_plans_;
   /// Plan capacity invariant: every plan the controller holds (plans_, the
-  /// outcome, spare_plans_) has room for widest_plan_ core entries and
-  /// widest_ids_ node_ids/node_cps entries, at least the widest plan written
-  /// so far. Which slot gets which plan depends on the recycling history, so
+  /// outcome's schedule and front, spare_plans_) has room for widest_plan_
+  /// core entries and widest_ids_ node_ids/node_cps entries, at least the
+  /// widest plan written so far. Which slot gets which plan depends on the recycling history, so
   /// without the invariant a slot would still grow whenever a plan wider
   /// than its own past ones landed in it; with it, a workload that repeats
   /// stops allocating after its first pass.

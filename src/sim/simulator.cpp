@@ -190,7 +190,8 @@ void ClusterSimulator::handle_arrival(const workload::Task& task) {
 
   ++metrics_.accepted;
   // The leading reused_prefix entries' plans are unchanged, so their
-  // versions - and the commit events already queued for them - stay valid.
+  // versions - and the commit events already queued for them - stay valid
+  // (a refreshed front changes only `available`, not its commit instant).
   // Every replaced entry gets a fresh version so commit events for
   // superseded plans are ignored; the schedule arrives in policy order,
   // preserving the waiting queue's ordering invariant.

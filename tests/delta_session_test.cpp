@@ -26,6 +26,7 @@
 #include "cluster/availability_delta.hpp"
 #include "cluster/speed_profile.hpp"
 #include "dlt/het_model.hpp"
+#include "obs/metrics.hpp"
 #include "sched/admission.hpp"
 #include "sched/het_planner.hpp"
 #include "sched/registry.hpp"
@@ -186,6 +187,7 @@ void expect_identical_schedules(const std::string& algorithm,
     const sim::ScheduleEntry& b = full_log.entries()[i];
     ASSERT_EQ(a.task, b.task) << algorithm << " entry " << i;
     ASSERT_EQ(a.node, b.node) << algorithm << " entry " << i;
+    ASSERT_EQ(a.usable_from, b.usable_from) << algorithm << " entry " << i;
     ASSERT_EQ(a.start, b.start) << algorithm << " entry " << i;
     ASSERT_EQ(a.end, b.end) << algorithm << " entry " << i;
     ASSERT_EQ(a.alpha, b.alpha) << algorithm << " entry " << i;
@@ -250,6 +252,61 @@ TEST(DeltaSession, PeakStateBytesDropAtLeastFiveFoldVsDenseRows) {
   EXPECT_GE(het.admission_peak_dense_bytes, 5 * het.admission_peak_bytes);
 }
 
+/// The first `count` tasks of an N=16, DCRatio-100, load-1.0 trace: queues
+/// stay deep while nodes sit idle, so the session mostly refloors its front
+/// instead of rebuilding and must compact its consumed prefix on its own.
+std::vector<workload::Task> deep_queue_tasks(std::size_t count) {
+  workload::WorkloadParams params;
+  params.cluster = {.node_count = 16, .cms = 1.0, .cps = 100.0};
+  params.system_load = 1.0;
+  params.dc_ratio = 100.0;
+  params.total_time = 1.5 * static_cast<double>(count) * params.mean_interarrival();
+  params.seed = 7;
+  std::vector<workload::Task> tasks = workload::generate_workload(params);
+  if (tasks.size() > count) tasks.resize(count);
+  return tasks;
+}
+
+TEST(DeltaSession, FifoSessionStateStaysBoundedOverLongTraces) {
+  // A FIFO arrival appends at the frontier, where the suffix re-plan never
+  // checkpoints; the session must still cut its consumed prefix, so ten
+  // times the history holds about the same peak state.
+  const std::vector<workload::Task> tasks = deep_queue_tasks(30000);
+  ASSERT_EQ(tasks.size(), 30000u);
+  const std::vector<workload::Task> head(tasks.begin(), tasks.begin() + 3000);
+  sim::SimulatorConfig config;
+  config.params = {.node_count = 16, .cms = 1.0, .cps = 100.0};
+  for (const char* algorithm : {"FIFO-DLT", "FIFO-OPR-MN"}) {
+    const sim::SimMetrics short_run =
+        sim::simulate(config, algorithm, head, head.back().arrival());
+    const sim::SimMetrics long_run =
+        sim::simulate(config, algorithm, tasks, tasks.back().arrival());
+    ASSERT_GT(short_run.admission_peak_bytes, 0u) << algorithm;
+    EXPECT_LE(static_cast<double>(long_run.admission_peak_bytes),
+              1.1 * static_cast<double>(short_run.admission_peak_bytes))
+        << algorithm << ": " << short_run.admission_peak_bytes << " B over 3k tasks, "
+        << long_run.admission_peak_bytes << " B over 30k";
+  }
+}
+
+TEST(DeltaSession, HetRefloorMatchesFullReplanAtDcRatio100) {
+  // OPR-MN nodes idle at r_n under a waiting queue, so arrivals refloor the
+  // session's front; het rows also re-sort the raised entries by node id.
+  const std::uint64_t resyncs =
+      obs::Registry::global().counter_value("rtdls_admission_session_resyncs_total");
+  workload::WorkloadParams params;
+  params.cluster = {.node_count = 16, .cms = 1.0, .cps = 100.0};
+  params.system_load = 1.0;
+  params.dc_ratio = 100.0;
+  params.total_time = 2'000'000.0;
+  params.seed = 7;
+  for (const char* algorithm : {"EDF-OPR-MN", "FIFO-OPR-MN"}) {
+    expect_identical_schedules(algorithm, params, "uniform:50,150,3");
+  }
+  EXPECT_GT(obs::Registry::global().counter_value("rtdls_admission_session_resyncs_total"),
+            resyncs);
+}
+
 TEST(DeltaSession, BurstFootprintAtLeast25FoldBelowDenseRowsAtN1024) {
   // BM_AdmissionBurst's scrambled-deadline EDF-DLT burst at N=1024, Q=256:
   // only the sqrt(N)-cadence checkpoints and the frontier are dense, so the
@@ -268,15 +325,19 @@ TEST(DeltaSession, BurstFootprintAtLeast25FoldBelowDenseRowsAtN1024) {
     tasks[i].spec = {0.0, 150.0 + static_cast<double>(i % 7) * 20.0,
                      2.0e6 + jitter * 5.0e3};
   }
+  struct Held {
+    const workload::Task* task = nullptr;
+    sched::TaskPlan plan;
+  };
+  std::vector<Held> held;
   std::vector<const workload::Task*> waiting;
   for (const workload::Task& task : tasks) {
-    const sched::AdmissionOutcome& outcome =
+    sched::AdmissionOutcome& outcome =
         controller.test_incremental(task, waiting, params, cluster, 0.0);
     ASSERT_TRUE(outcome.accepted);
-    waiting.resize(outcome.reused_prefix);
-    for (const sched::ScheduledTask& scheduled : outcome.schedule) {
-      waiting.push_back(scheduled.task);
-    }
+    controller.adopt_schedule(outcome, held, [](Held&) {});
+    waiting.clear();
+    for (const Held& entry : held) waiting.push_back(entry.task);
   }
   const auto peak = controller.peak_session_memory();
   ASSERT_GT(peak.bytes, 0u);

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "exp/runner.hpp"
+#include "obs/metrics.hpp"
+#include "sched/admission.hpp"
 #include "sim/schedule_log.hpp"
 #include "sim/simulator.hpp"
 #include "workload/generator.hpp"
@@ -79,23 +81,134 @@ void expect_identical_schedules(const std::string& algorithm,
 }
 
 TEST(IncrementalAdmission, MatchesFullReplanAcrossRandomWorkloads) {
-  // 2 policies x 2 rules x randomized (seed, load, DCRatio) cells. Loose
-  // deadlines (high DCRatio) build the deep waiting queues that exercise
-  // insertion mid-queue, policy-front commits, and rejected rebuilds.
+  // 2 policies x 2 rules x randomized (seed, load, DCRatio) cells under both
+  // release policies. Loose deadlines (high DCRatio) build the deep waiting
+  // queues that exercise insertion mid-queue, policy-front commits, and
+  // rejected rebuilds; at DCRatio 100 nodes sit idle under a waiting queue,
+  // so arrivals refloor the session's front. kActual releases move nodes
+  // outside the session's model (version bumps).
   const char* algorithms[] = {"EDF-DLT", "FIFO-DLT", "EDF-OPR-MN", "FIFO-OPR-MN"};
   const std::uint64_t seeds[] = {1, 7, 20070227};
   const double loads[] = {0.4, 0.9, 1.2};
-  const double dc_ratios[] = {2.0, 25.0};
+  const double dc_ratios[] = {2.0, 25.0, 100.0};
+  const char* const resyncs = "rtdls_admission_session_resyncs_total";
+  const std::uint64_t resyncs_before = obs::Registry::global().counter_value(resyncs);
   for (const char* algorithm : algorithms) {
     for (std::uint64_t seed : seeds) {
       for (double load : loads) {
         for (double dc : dc_ratios) {
-          expect_identical_schedules(algorithm, random_params(seed, load, dc),
-                                     sim::ReleasePolicy::kEstimate);
+          for (sim::ReleasePolicy release :
+               {sim::ReleasePolicy::kEstimate, sim::ReleasePolicy::kActual}) {
+            expect_identical_schedules(algorithm, random_params(seed, load, dc), release);
+          }
         }
       }
     }
   }
+  EXPECT_GT(obs::Registry::global().counter_value(resyncs), resyncs_before)
+      << "no cell refloored the session's front";
+}
+
+/// A one-node rule whose plan reads the availability row only for
+/// `available`: reserved at arrival + 100 for 10 time units. Its front plan
+/// survives a refloor whatever the row holds past its one consumed entry,
+/// so only the refloor's own row check can tell a raised entry that the
+/// next task plans against.
+class FixedWindowRule final : public sched::PartitionRule {
+ public:
+  dlt::Infeasibility plan(const sched::PlanRequest& request,
+                          sched::TaskPlan& out) const override {
+    const workload::Task& task = *request.task;
+    const cluster::Time start = task.arrival() + 100.0;
+    const cluster::Time available = request.free_times->front();
+    if (available > start) return dlt::Infeasibility::kNeedsMoreNodes;
+    out.task = task.id;
+    out.nodes = 1;
+    out.available.assign(1, available);
+    out.reserve_from.assign(1, start);
+    out.node_release.assign(1, start + 10.0);
+    out.alpha.assign(1, 1.0);
+    out.est_completion = start + 10.0;
+    out.rounds = 1;
+    out.node_ids.clear();
+    out.node_cps.clear();
+    return dlt::Infeasibility::kNone;
+  }
+  std::string_view name() const override { return "FixedWindow"; }
+};
+
+struct Held {
+  const workload::Task* task = nullptr;
+  sched::TaskPlan plan;
+};
+
+std::uint64_t counter(const char* name) { return obs::Registry::global().counter_value(name); }
+
+/// Admits `tasks` one by one at their arrivals through a cross-checked
+/// FIFO session on a 3-node cluster whose nodes free at `free_at`, with no
+/// commits in between, and returns the held queue.
+std::vector<Held> admit_without_commits(const std::vector<workload::Task>& tasks,
+                                        const std::vector<cluster::Time>& free_at) {
+  const cluster::ClusterParams params{.node_count = 3, .cms = 1.0, .cps = 100.0};
+  cluster::Cluster cluster(params);
+  for (cluster::NodeId id = 0; id < free_at.size(); ++id) {
+    static_cast<void>(cluster.commit(id, 1000 + id, 0.0, 0.0, free_at[id]));
+  }
+  const FixedWindowRule rule;
+  sched::AdmissionController controller(sched::Policy::kFifo, &rule);
+  controller.set_cross_check(true);  // throws on any divergence from test()
+  std::vector<Held> held;
+  std::vector<const workload::Task*> waiting;
+  for (const workload::Task& task : tasks) {
+    sched::AdmissionOutcome& outcome =
+        controller.test_incremental(task, waiting, params, cluster, task.arrival());
+    EXPECT_TRUE(outcome.accepted) << "task " << task.id;
+    controller.adopt_schedule(outcome, held, [](Held&) {});
+    waiting.clear();
+    for (const Held& entry : held) waiting.push_back(entry.task);
+  }
+  return held;
+}
+
+std::vector<workload::Task> two_arrivals(cluster::Time second) {
+  std::vector<workload::Task> tasks(2);
+  tasks[0].id = 1;
+  tasks[0].spec = {0.0, 10.0, 1000.0};
+  tasks[1].id = 2;
+  tasks[1].spec = {second, 10.0, 1000.0};
+  return tasks;
+}
+
+TEST(IncrementalAdmission, RefloorKeepsTheSessionWhenOnlyTheFrontMoves) {
+  // Nodes free at 5 and 8: the second arrival at 6 raises only the entry
+  // the front consumes, so the session refloors instead of rebuilding and
+  // hands the caller the front's refreshed plan.
+  const std::uint64_t rebuilds = counter("rtdls_admission_session_rebuilds_total");
+  const std::uint64_t resyncs = counter("rtdls_admission_session_resyncs_total");
+  const std::vector<workload::Task> tasks = two_arrivals(6.0);
+  const std::vector<Held> held = admit_without_commits(tasks, {5.0, 8.0, 1000.0});
+  EXPECT_EQ(counter("rtdls_admission_session_rebuilds_total") - rebuilds, 1u);
+  EXPECT_EQ(counter("rtdls_admission_session_resyncs_total") - resyncs, 1u);
+  ASSERT_EQ(held.size(), 2u);
+  EXPECT_EQ(held[0].plan.available, std::vector<cluster::Time>{6.0});
+  EXPECT_EQ(held[0].plan.commit_time(), 100.0);
+  EXPECT_EQ(held[1].plan.available, std::vector<cluster::Time>{8.0});
+}
+
+TEST(IncrementalAdmission, RefloorRebuildsWhenARaisedEntryOutlivesTheFront) {
+  // Nodes free at 5 and 6: the arrival at 7 also raises the entry the
+  // front hands on, which the second task plans against. The front's own
+  // plan still differs only in `available`, so only the row check keeps
+  // the session from handing the second task the stale 6.
+  const std::uint64_t rebuilds = counter("rtdls_admission_session_rebuilds_total");
+  const std::uint64_t resyncs = counter("rtdls_admission_session_resyncs_total");
+  const std::vector<workload::Task> tasks = two_arrivals(7.0);
+  const std::vector<Held> held = admit_without_commits(tasks, {5.0, 6.0, 1000.0});
+  EXPECT_EQ(counter("rtdls_admission_session_rebuilds_total") - rebuilds, 2u);
+  EXPECT_EQ(counter("rtdls_admission_session_resyncs_total") - resyncs, 0u);
+  ASSERT_EQ(held.size(), 2u);
+  EXPECT_EQ(held[0].plan.available, std::vector<cluster::Time>{7.0});
+  EXPECT_EQ(held[1].plan.available, std::vector<cluster::Time>{7.0});
 }
 
 TEST(IncrementalAdmission, MatchesFullReplanUnderEarlyRelease) {

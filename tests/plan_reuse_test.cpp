@@ -172,7 +172,8 @@ INSTANTIATE_TEST_SUITE_P(AllRules, PlanReuse, ::testing::ValuesIn(reuse_cases())
 
 // A rejected arrival adopts nothing: its outcome carries no schedule, and
 // the session's next accepted outcome - planned into the slots the
-// rejection left behind - equals a fresh controller's stateless test.
+// rejection left behind - adopts into a queue equal, plan for plan, to a
+// fresh controller's stateless test.
 TEST(PlanReuse, RejectedArrivalAdoptsNothing) {
   const cluster::ClusterParams params = cluster_params(false);
   const sched::Algorithm algorithm = sched::make_algorithm("EDF-DLT");
@@ -180,31 +181,34 @@ TEST(PlanReuse, RejectedArrivalAdoptsNothing) {
   const cluster::Cluster cluster(params);
   const std::vector<workload::Task> all = tasks();
 
+  struct Held {
+    const workload::Task* task = nullptr;
+    sched::TaskPlan plan;
+  };
+  std::vector<Held> held;
   std::vector<const workload::Task*> waiting;
   std::size_t rejected = 0;
   for (const workload::Task& task : all) {
+    waiting.clear();
+    for (const Held& entry : held) waiting.push_back(entry.task);
     sched::AdmissionOutcome& outcome =
         controller.test_incremental(task, waiting, params, cluster, 0.0);
     if (!outcome.accepted) {
       ++rejected;
       EXPECT_TRUE(outcome.schedule.empty());
       EXPECT_EQ(outcome.reused_prefix, 0u);
+      EXPECT_FALSE(outcome.front_refreshed);
       continue;
     }
-    std::vector<const workload::Task*> previous = waiting;
-    waiting.resize(outcome.reused_prefix);
-    for (const sched::ScheduledTask& scheduled : outcome.schedule) {
-      waiting.push_back(scheduled.task);
-    }
+    controller.adopt_schedule(outcome, held, [](Held&) {});
     sched::AdmissionController reference(algorithm.policy, algorithm.rule.get());
     const sched::AdmissionOutcome& expected = reference.test(
-        &task, previous, params, std::vector<cluster::Time>(kNodes, 0.0), 0.0);
+        &task, waiting, params, std::vector<cluster::Time>(kNodes, 0.0), 0.0);
     ASSERT_TRUE(expected.accepted);
-    ASSERT_EQ(outcome.reused_prefix + outcome.schedule.size(), expected.schedule.size());
-    for (std::size_t i = 0; i < outcome.schedule.size(); ++i) {
-      const sched::ScheduledTask& want = expected.schedule[outcome.reused_prefix + i];
-      EXPECT_EQ(outcome.schedule[i].task, want.task);
-      EXPECT_TRUE(outcome.schedule[i].plan == want.plan);
+    ASSERT_EQ(held.size(), expected.schedule.size());
+    for (std::size_t i = 0; i < held.size(); ++i) {
+      EXPECT_EQ(held[i].task, expected.schedule[i].task);
+      EXPECT_TRUE(held[i].plan == expected.schedule[i].plan);
     }
   }
   EXPECT_GT(rejected, 0u);
